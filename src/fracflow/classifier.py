@@ -83,10 +83,10 @@ def _classify(name: str, s: np.ndarray, values: np.ndarray, want_positive: bool)
 
 def _slope_vanishes_at_zero(m: ModelExpr, eps: float):
     """Endpoint test for m'(0) = 0: absolute threshold, then decay exponent."""
-    m1_eps = float(m.eval_jet(eps).f1)
+    m1_eps = float(m.taylor(eps, 1)[1])
     if m1_eps < ENDPOINT_TOL_SLOPE:
         return True, m1_eps
-    m1_far = float(m.eval_jet(64.0 * eps).f1)
+    m1_far = float(m.taylor(64.0 * eps, 1)[1])
     if m1_far <= 0.0 or m1_eps <= 0.0:
         return False, m1_eps
     rho = math.log(m1_far / m1_eps) / math.log(64.0)
@@ -214,10 +214,9 @@ def sign_changes(s, values, func, tol, zero_tol: float = ZERO_TOL):
 
     out = []
     nz = np.flatnonzero(sgn)
-    for k in range(len(nz) - 1):
+    # consecutive nonzero samples of opposite sign bracket a crossing
+    for k in np.flatnonzero(sgn[nz[:-1]] != sgn[nz[1:]]):
         i, jdx = nz[k], nz[k + 1]
-        if sgn[i] == sgn[jdx]:
-            continue
         root = _bisect_sign_change(func, float(s[i]), float(s[jdx]), float(values[i]), tol)
         out.append((root, "-+" if sgn[i] < 0 else "+-"))
     return out

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .jet import DomainError, Jet3, Real, add, div, reflect
+from .jet import DomainError, Jet3, Real, Tape, point
+from .jet import add, div, reflect  # noqa: F401  (perfbench/spans.py counts these here)
 from .models import ModelPair
 from .classifier import sign_changes
 
@@ -44,14 +46,28 @@ class FluxAnalysis:
     tangency_warnings: list[float] = field(default_factory=list)
 
 
+@lru_cache(maxsize=None)
+def _flux_program(order: int, array: bool):
+    """f = a / (a + reflect(b)) from the jets a of m_a at s and b of m_b at 1-s."""
+    tape = Tape(array)
+    a = tuple(f"a{j}" for j in range(order + 1))
+    b = tuple(f"b{j}" for j in range(order + 1))
+    return tape.build([*a, *b], tape.div(a, tape.add(a, tape.reflect(b)), "zero total mobility"))
+
+
+def f_taylor(pair: ModelPair, s: Real, order: int = 3) -> tuple:
+    """f and its first `order` derivatives at s (scalar or array in (0,1))."""
+    a = pair.m_a.taylor(s, order)
+    b = pair.m_b.taylor(1.0 - s, order)
+    try:
+        return _flux_program(order, isinstance(s, np.ndarray))(*a, *b)
+    except DomainError as exc:
+        raise DomainError(f"{exc} at {point(s, exc.index)}", exc.index) from None
+
+
 def f_jet(pair: ModelPair, s: Real) -> Jet3:
     """Jet of the fractional-flow function at s (scalar or array in (0,1))."""
-    ja = pair.m_a.eval_jet(s)
-    jb = reflect(pair.m_b.eval_jet, s)
-    total = add(ja, jb)
-    if np.any(np.asarray(total.f0) == 0.0):
-        raise DomainError(f"zero total mobility at s={s!r}")
-    return div(ja, total)
+    return Jet3(*f_taylor(pair, s))
 
 
 def f_value(pair: ModelPair, s: Real) -> Real:
@@ -92,11 +108,10 @@ def f2_closed(pair: ModelPair, s: Real) -> Real:
     return (h1 * m - 2.0 * m1 * h) / m ** 3
 
 
-def _first_root(pair: ModelPair, g_of_jets, label: str, grid_n: int, eps: float, tol: float):
+def _first_root(pair: ModelPair, g, order: int, label: str, grid_n: int, eps: float, tol: float):
     s = np.linspace(eps, 1.0 - eps, grid_n)
-    g = np.asarray(g_of_jets(pair.m_a.eval_jet(s), pair.m_b.eval_jet(1.0 - s)), dtype=float)
-    func = lambda t: float(g_of_jets(pair.m_a.eval_jet(t), pair.m_b.eval_jet(1.0 - t)))
-    roots = sign_changes(s, g, func, tol)
+    values = lambda t: g(pair.m_a.taylor(t, order), pair.m_b.taylor(1.0 - t, order))
+    roots = sign_changes(s, np.asarray(values(s), dtype=float), lambda t: float(values(t)), tol)
     if not roots:
         return None
     if len(roots) > 1:
@@ -111,14 +126,12 @@ def find_s1(pair: ModelPair, grid_n: int = 4096, eps: float = DEFAULT_EPS, tol: 
     pairs the root is unique; otherwise the first bracket is refined and a
     multiplicity warning is emitted.
     """
-    return _first_root(pair, lambda ja, jb: ja.f1 - jb.f1, "s1", grid_n, eps, tol)
+    return _first_root(pair, lambda a, b: a[1] - b[1], 1, "s1", grid_n, eps, tol)
 
 
 def find_s2(pair: ModelPair, grid_n: int = 4096, eps: float = DEFAULT_EPS, tol: float = 1e-12):
     """Sign change of m_a''(s)*m_b(1-s) - m_a(s)*m_b''(1-s) (i.e. of h')."""
-    return _first_root(
-        pair, lambda ja, jb: ja.f2 * jb.f0 - ja.f0 * jb.f2, "s2", grid_n, eps, tol
-    )
+    return _first_root(pair, lambda a, b: a[2] * b[0] - a[0] * b[2], 2, "s2", grid_n, eps, tol)
 
 
 def inflection_points(
@@ -138,9 +151,9 @@ def inflection_points(
     if grid_n < 1000:
         raise ValueError(f"grid_n must be >= 1000, got {grid_n}")
     s = np.linspace(eps, 1.0 - eps, grid_n)
-    y = np.asarray(f_jet(pair, s).f2, dtype=float)
+    y = np.asarray(f_taylor(pair, s, 2)[2], dtype=float)
 
-    func = lambda t: float(f_jet(pair, t).f2)
+    func = lambda t: float(f_taylor(pair, t, 2)[2])
     found = sign_changes(s, y, func, tol)
     inflections = [Inflection(root, direction) for root, direction in found]
 

@@ -1,24 +1,51 @@
-"""Order-3 truncated Taylor ("jet") arithmetic.
+"""Truncated Taylor ("jet") arithmetic through third order.
 
-A Jet3 carries a function value together with its first three derivatives
-at a point.  Propagating jets through arithmetic gives exact derivatives of
-composed expressions, with none of the cancellation noise of finite
-differences.  Components may be Python floats or numpy arrays (for
-whole-grid evaluation); every rule below is elementwise.
+A jet carries a function value together with its first k derivatives at a
+point (k <= 3).  Propagating jets through arithmetic gives exact derivatives
+of composed expressions, with none of the cancellation noise of finite
+differences.
+
+Each rule (sum, Leibniz product, quotient recurrence, Faa di Bruno for real
+powers and exp) is written once, as a Tape method that appends the Python
+source of its result components to a straight-line program.  Component j of
+every rule reads only components <= j of its operands, so a program built
+from jets of k+1 components is the exact truncation of the order-3 one.
+models compiles whole expression trees this way; the Jet3 functions below
+are order-3 programs of a single rule.  Components may be Python floats or
+numpy arrays (for whole-grid evaluation); every rule is elementwise.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from functools import lru_cache
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 Real = Union[float, np.ndarray]
+Names = tuple[str, ...]  # source names (or literals) of a jet's components
 
 
 class DomainError(ArithmeticError):
-    """Evaluation left the domain (zero divisor, bad power base, ...)."""
+    """Evaluation left the domain (zero divisor, bad power base, ...).
+
+    index is the flat index of the first failing element when the evaluation
+    ran on an array, None for a scalar evaluation.
+    """
+
+    def __init__(self, message: str, index: Optional[int] = None):
+        super().__init__(message)
+        self.index = index
+
+
+def point(s: Real, index: Optional[int]) -> str:
+    """Where an evaluation failed: 's=<value>', or 's[i]=<value>' for the
+    first failing element of an array (flat index)."""
+    if isinstance(s, np.ndarray):
+        return f"s[{index}]={float(s.flat[index])!r}"
+    return f"s={s!r}"
 
 
 @dataclass(frozen=True)
@@ -54,6 +81,225 @@ def _ones_like(s: Real) -> Real:
     return np.ones_like(s) if isinstance(s, np.ndarray) else 1.0
 
 
+# Component j of each rule; {aj}, {bj}: operand components, {cj}: result
+# components already computed, {pj}: derivatives of the outer function.
+_LEIBNIZ = (
+    "{a0} * {b0}",
+    "{a1} * {b0} + {a0} * {b1}",
+    "{a2} * {b0} + 2.0 * {a1} * {b1} + {a0} * {b2}",
+    "{a3} * {b0} + 3.0 * {a2} * {b1} + 3.0 * {a1} * {b2} + {a0} * {b3}",
+)
+# solves the Leibniz recurrence for c in a = c*b
+_QUOTIENT = (
+    "{a0} / {b0}",
+    "({a1} - {c0} * {b1}) / {b0}",
+    "({a2} - 2.0 * {c1} * {b1} - {c0} * {b2}) / {b0}",
+    "({a3} - 3.0 * {c2} * {b1} - 3.0 * {c1} * {b2} - {c0} * {b3}) / {b0}",
+)
+# Faa di Bruno for g = phi(a)
+_CHAIN = (
+    "{p0}",
+    "{p1} * {a1}",
+    "{p2} * {a1} * {a1} + {p1} * {a2}",
+    "{p3} * {a1} ** 3 + 3.0 * {p2} * {a1} * {a2} + {p1} * {a3}",
+)
+
+
+@lru_cache(maxsize=256)
+def _maker(src: str) -> Callable:
+    # Constants and messages are arguments of `make`, so trees of one shape
+    # (one source text) share one code object and differ only in closures.
+    namespace = {"np": np, "exp": np.exp, "DomainError": DomainError,
+                 "_ones_like": _ones_like, "_zeros_like": _zeros_like}
+    exec(compile(src, "<jet tape>", "exec"), namespace)
+    return namespace["make"]
+
+
+class Tape:
+    """A straight-line program under construction, one local per component.
+
+    With array=False the program runs on plain floats and domain checks are
+    float comparisons.  With array=True components are numpy arrays (or
+    anything np.asarray takes) and a failed check reports the flat index of
+    the first failing element.  The rules take jets as tuples of component
+    names and return the names of their result; the order is the length
+    of the tuples minus one.
+    """
+
+    def __init__(self, array: bool):
+        self.array = array
+        self.lines: list[str] = []
+        self.consts: list = []
+        self._n = 0
+
+    def let(self, expr: str) -> str:
+        name = f"v{self._n}"
+        self._n += 1
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def check(self, bad: str, message: str) -> None:
+        """Raise DomainError(message) where the expression `bad` holds."""
+        if self.array:
+            self.lines.append(f"bad = np.asarray({bad})")
+            self.lines.append(f"if bad.any(): raise DomainError({self.const(message)}, int(bad.argmax()))")
+        else:
+            self.lines.append(f"if {bad}: raise DomainError({self.const(message)})")
+
+    def build(self, params: list[str], result: Names) -> Callable:
+        """Compile the program into a function of params returning the tuple result."""
+        lines = self._released(result) if self.array else self.lines
+        body = "".join(f"        {line}\n" for line in lines)
+        src = (
+            f"def make({', '.join(f'k{i}' for i in range(len(self.consts)))}):\n"
+            f"    def run({', '.join(params)}):\n{body}"
+            f"        return ({', '.join(result)},)\n"
+            "    return run\n"
+        )
+        return _maker(src)(*self.consts)
+
+    def _released(self, result: Names) -> list[str]:
+        """The lines with a `del` after the last read of each local, so that
+        an array program holds only its live intermediates."""
+        last = {}
+        for i, line in enumerate(self.lines):
+            for name in re.findall(r"\bv\d+\b", line.partition(" = ")[2] or line):
+                last[name] = i
+        dead: dict[int, list[str]] = {}
+        for name, i in last.items():
+            if name not in result:
+                dead.setdefault(i, []).append(name)
+        out = []
+        for i, line in enumerate(self.lines):
+            out.append(line)
+            if i in dead:
+                out.append(f"del {', '.join(dead[i])}")
+        return out
+
+    def _rule(self, rows: tuple[str, ...], order: int, **operands: Names) -> Names:
+        names = {f"{key}{j}": c for key, comps in operands.items() for j, c in enumerate(comps)}
+        out = []
+        for j in range(order + 1):
+            names[f"c{j}"] = self.let(rows[j].format(**names))
+            out.append(names[f"c{j}"])
+        return tuple(out)
+
+    # -- leaves ----------------------------------------------------------
+
+    def seed(self, s: str, order: int) -> Names:
+        """Jet of the identity function at s: (s, 1, 0, 0)."""
+        return (s,) + self._unit(s, order)
+
+    def constant(self, value: float, like: str, order: int) -> Names:
+        """Jet of a constant, shaped like the input: (c, 0, 0, 0)."""
+        if not self.array:
+            return (self.const(value * 1.0),) + ("0.0",) * order
+        c = self.let(f"{self.const(value)} * _ones_like({like})")
+        zero = (self.let(f"_zeros_like({c})"),) if order else ()
+        return (c,) + zero * order
+
+    def _unit(self, like: str, n: int) -> Names:
+        """The first n components of the jet of 1, shaped like `like`."""
+        if not self.array:
+            return ("1.0", "0.0", "0.0", "0.0")[:n]
+        if n == 0:
+            return ()
+        zero = (self.let(f"_zeros_like({like})"),) if n > 1 else ()
+        return (self.let(f"_ones_like({like})"),) + zero * (n - 1)
+
+    # -- rules -----------------------------------------------------------
+
+    def add(self, a: Names, b: Names) -> Names:
+        return tuple(self.let(f"{x} + {y}") for x, y in zip(a, b))
+
+    def sub(self, a: Names, b: Names) -> Names:
+        return tuple(self.let(f"{x} - {y}") for x, y in zip(a, b))
+
+    def neg(self, a: Names) -> Names:
+        return tuple(self.let(f"-{x}") for x in a)
+
+    def reflect(self, a: Names) -> Names:
+        """Jet of s -> m(1 - s) from the jet of m at 1 - s: odd derivatives flip sign."""
+        return tuple(self.let(f"-{x}") if j % 2 else x for j, x in enumerate(a))
+
+    def mul(self, a: Names, b: Names) -> Names:
+        """Product via the Leibniz rule."""
+        return self._rule(_LEIBNIZ, len(a) - 1, a=a, b=b)
+
+    def div(self, a: Names, b: Names, message: Optional[str] = None) -> Names:
+        """Quotient; a zero divisor raises DomainError(message)."""
+        order = len(a) - 1
+        if message is None:
+            message = "division by zero" if order == 0 else "division by a jet with zero value"
+        self.check(f"{b[0]} == 0.0", message)
+        return self._rule(_QUOTIENT, order, a=a, b=b)
+
+    def pow(self, a: Names, p: float) -> Names:
+        """a**p for a constant real exponent p.
+
+        Order 0 is the plain power b**p: a non-integer power needs a
+        non-negative base, a negative power a nonzero one.  For derivatives,
+        integer exponents use repeated multiplication so that zero and
+        negative bases stay exact; non-integer exponents require a positive
+        base and go through the chain rule.
+        """
+        order = len(a) - 1
+        if order == 0:
+            if p != round(p):
+                self.check(f"{a[0]} < 0.0", f"non-integer power {p} of a negative value")
+            if p < 0:
+                self.check(f"{a[0]} == 0.0", f"zero raised to negative power {p}")
+            return (self.let(f"{a[0]} ** {self.const(p)}"),)
+        if p == round(p):
+            n = int(round(p))
+            if n < 0:
+                return self.div(self._unit(a[0], order + 1), self.pow(a, -p))
+            result, base = self._unit(a[0], order + 1), a
+            while n > 0:
+                if n & 1:
+                    result = self.mul(result, base)
+                n >>= 1
+                if n:
+                    base = self.mul(base, base)
+            return result
+        self.check(f"{a[0]} <= 0.0", f"non-integer power {p} of a non-positive value")
+        # phi_j = p*(p-1)*...*(p-j+1) * a0**(p-j); the coefficient and the
+        # exponent are folded into constants
+        coeff, phis = 1.0, []
+        for j in range(order + 1):
+            power = self.let(f"{a[0]} ** {self.const(p - j if j else p)}")
+            if j:
+                coeff = p if j == 1 else coeff * (p - (j - 1.0))
+                power = self.let(f"{self.const(coeff)} * {power}")
+            phis.append(power)
+        return self._rule(_CHAIN, order, p=tuple(phis), a=a)
+
+    def exp(self, a: Names) -> Names:
+        e = self.let(f"exp({a[0]})")
+        return self._rule(_CHAIN, len(a) - 1, p=(e,) * len(a), a=a)
+
+
+# ---------------------------------------------------------------------------
+# order-3 rules on Jet3 values
+
+
+@lru_cache(maxsize=64)
+def _program(rule: str, n_jets: int, *params) -> Callable:
+    """Order-3 program of one Tape rule, compiled on first use."""
+    tape = Tape(array=True)
+    jets = [tuple(f"x{i}_{j}" for j in range(4)) for i in range(n_jets)]
+    return tape.build([c for jet in jets for c in jet], getattr(tape, rule)(*jets, *params))
+
+
+def _apply(rule: str, *jets: Jet3, params: tuple = ()) -> Jet3:
+    fn = _program(rule, len(jets), *params)
+    return Jet3(*fn(*(c for j in jets for c in (j.f0, j.f1, j.f2, j.f3))))
+
+
 def seed(s: Real) -> Jet3:
     """Jet of the identity function at s: (s, 1, 0, 0)."""
     return Jet3(s, _ones_like(s), _zeros_like(s), _zeros_like(s))
@@ -65,83 +311,35 @@ def constant(c: Real) -> Jet3:
 
 
 def add(a: Jet3, b: Jet3) -> Jet3:
-    return Jet3(a.f0 + b.f0, a.f1 + b.f1, a.f2 + b.f2, a.f3 + b.f3)
+    return _apply("add", a, b)
 
 
 def sub(a: Jet3, b: Jet3) -> Jet3:
-    return Jet3(a.f0 - b.f0, a.f1 - b.f1, a.f2 - b.f2, a.f3 - b.f3)
+    return _apply("sub", a, b)
 
 
 def neg(a: Jet3) -> Jet3:
-    return Jet3(-a.f0, -a.f1, -a.f2, -a.f3)
+    return _apply("neg", a)
 
 
 def mul(a: Jet3, b: Jet3) -> Jet3:
     """Product jet via the Leibniz rule through third order."""
-    return Jet3(
-        a.f0 * b.f0,
-        a.f1 * b.f0 + a.f0 * b.f1,
-        a.f2 * b.f0 + 2.0 * a.f1 * b.f1 + a.f0 * b.f2,
-        a.f3 * b.f0 + 3.0 * a.f2 * b.f1 + 3.0 * a.f1 * b.f2 + a.f0 * b.f3,
-    )
+    return _apply("mul", a, b)
 
 
 def div(a: Jet3, b: Jet3) -> Jet3:
     """Quotient jet; solves the Leibniz recurrence for c in a = c*b."""
-    if np.any(np.asarray(b.f0) == 0.0):
-        raise DomainError("division by a jet with zero value")
-    c0 = a.f0 / b.f0
-    c1 = (a.f1 - c0 * b.f1) / b.f0
-    c2 = (a.f2 - 2.0 * c1 * b.f1 - c0 * b.f2) / b.f0
-    c3 = (a.f3 - 3.0 * c2 * b.f1 - 3.0 * c1 * b.f2 - c0 * b.f3) / b.f0
-    return Jet3(c0, c1, c2, c3)
-
-
-def _compose(phi0: Real, phi1: Real, phi2: Real, phi3: Real, u: Jet3) -> Jet3:
-    # Faa di Bruno through order 3 for g = phi(u).
-    return Jet3(
-        phi0,
-        phi1 * u.f1,
-        phi2 * u.f1 * u.f1 + phi1 * u.f2,
-        phi3 * u.f1 ** 3 + 3.0 * phi2 * u.f1 * u.f2 + phi1 * u.f3,
-    )
+    return _apply("div", a, b)
 
 
 def pow_const(a: Jet3, p: float) -> Jet3:
-    """Jet of a**p for a constant real exponent p.
-
-    Integer exponents are handled by repeated multiplication so that zero
-    and negative bases stay exact; non-integer exponents require a positive
-    base and go through the chain rule.
-    """
-    if p == round(p):
-        n = int(round(p))
-        if n >= 0:
-            result = constant(_ones_like(a.f0))
-            base = a
-            k = n
-            while k > 0:
-                if k & 1:
-                    result = mul(result, base)
-                k >>= 1
-                if k:
-                    base = mul(base, base)
-            return result
-        return div(constant(_ones_like(a.f0)), pow_const(a, -p))
-    if np.any(np.asarray(a.f0) <= 0.0):
-        raise DomainError(f"non-integer power {p} of a non-positive value")
-    u0 = a.f0
-    phi0 = u0 ** p
-    phi1 = p * u0 ** (p - 1.0)
-    phi2 = p * (p - 1.0) * u0 ** (p - 2.0)
-    phi3 = p * (p - 1.0) * (p - 2.0) * u0 ** (p - 3.0)
-    return _compose(phi0, phi1, phi2, phi3, a)
+    """Jet of a**p for a constant real exponent p (see Tape.pow)."""
+    return _apply("pow", a, params=(p,))
 
 
 def exp_jet(a: Jet3) -> Jet3:
     """Jet of exp(a)."""
-    e = np.exp(a.f0)
-    return _compose(e, e, e, e, a)
+    return _apply("exp", a)
 
 
 def reflect(m: Callable[[Real], Jet3], s: Real) -> Jet3:
@@ -150,5 +348,4 @@ def reflect(m: Callable[[Real], Jet3], s: Real) -> Jet3:
     The derivatives of m at 1 - s pick up alternating signs from the inner
     reflection.
     """
-    j = m(1.0 - s)
-    return Jet3(j.f0, -j.f1, j.f2, -j.f3)
+    return _apply("reflect", m(1.0 - s))

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .jet import DomainError, Jet3, Real
-from . import jet
+from .jet import DomainError, Jet3, Real, Tape, point
 
 
 class ParseError(ValueError):
@@ -42,27 +42,44 @@ class ParseError(ValueError):
 
 
 class ModelExpr:
-    """Base class for mobility-expression nodes."""
+    """Base class for mobility-expression nodes.
+
+    A tree is compiled on first use into straight-line programs (see
+    jet.Tape), one per derivative order and per scalar or array input, and
+    each program is cached on the node it was compiled for.
+    """
+
+    def taylor(self, s: Real, order: int = 3) -> tuple:
+        """Value and first `order` derivatives at s (scalar or array), order 0..3.
+
+        Order 0 is the plain value, which also allows a zero base under a
+        positive non-integer power; orders 1-3 are the first components of
+        the order-3 jet, bit for bit.
+        """
+        key = (order, isinstance(s, np.ndarray))
+        fn = self._programs.get(key)
+        if fn is None:
+            fn = self._programs[key] = _compile(self, *key)
+        try:
+            return fn(s)
+        except DomainError as exc:
+            raise DomainError(f"{exc} while evaluating {self} at {point(s, exc.index)}", exc.index) from None
 
     def eval_jet(self, s: Real) -> Jet3:
         """Value and first three derivatives at s (scalar or array)."""
-        try:
-            return self._jet(s)
-        except DomainError as exc:
-            raise DomainError(f"{exc} while evaluating {self} at s={s!r}") from None
+        return Jet3(*self.taylor(s))
 
     def eval(self, s: Real) -> Real:
         """Value only; cheaper than eval_jet for plain sampling."""
-        try:
-            return self._value(s)
-        except DomainError as exc:
-            raise DomainError(f"{exc} while evaluating {self} at s={s!r}") from None
+        return self.taylor(s, 0)[0]
 
-    def _jet(self, s: Real) -> Jet3:
-        raise NotImplementedError
+    @cached_property
+    def _programs(self) -> dict:
+        return {}
 
-    def _value(self, s: Real) -> Real:
-        raise NotImplementedError
+    def __getstate__(self) -> dict:
+        # programs are rebuilt on first use; they cannot be pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_programs"}
 
     def __str__(self) -> str:
         return _print(self, _PREC_SUM)
@@ -72,55 +89,20 @@ class ModelExpr:
 class Const(ModelExpr):
     value: float
 
-    def _jet(self, s):
-        c = self.value * jet._ones_like(s)
-        return jet.constant(c)
-
-    def _value(self, s):
-        return self.value * jet._ones_like(s)
-
 
 @dataclass(frozen=True)
 class Var(ModelExpr):
-    def _jet(self, s):
-        return jet.seed(s)
-
-    def _value(self, s):
-        return s
+    pass
 
 
 @dataclass(frozen=True)
 class Sum(ModelExpr):
     terms: tuple[ModelExpr, ...]
 
-    def _jet(self, s):
-        acc = self.terms[0]._jet(s)
-        for t in self.terms[1:]:
-            acc = jet.add(acc, t._jet(s))
-        return acc
-
-    def _value(self, s):
-        acc = self.terms[0]._value(s)
-        for t in self.terms[1:]:
-            acc = acc + t._value(s)
-        return acc
-
 
 @dataclass(frozen=True)
 class Prod(ModelExpr):
     factors: tuple[ModelExpr, ...]
-
-    def _jet(self, s):
-        acc = self.factors[0]._jet(s)
-        for f in self.factors[1:]:
-            acc = jet.mul(acc, f._jet(s))
-        return acc
-
-    def _value(self, s):
-        acc = self.factors[0]._value(s)
-        for f in self.factors[1:]:
-            acc = acc * f._value(s)
-        return acc
 
 
 @dataclass(frozen=True)
@@ -128,43 +110,42 @@ class Quot(ModelExpr):
     num: ModelExpr
     den: ModelExpr
 
-    def _jet(self, s):
-        return jet.div(self.num._jet(s), self.den._jet(s))
-
-    def _value(self, s):
-        d = self.den._value(s)
-        if np.any(np.asarray(d) == 0.0):
-            raise DomainError("division by zero")
-        return self.num._value(s) / d
-
 
 @dataclass(frozen=True)
 class Pow(ModelExpr):
     base: ModelExpr
     exponent: float
 
-    def _jet(self, s):
-        return jet.pow_const(self.base._jet(s), self.exponent)
-
-    def _value(self, s):
-        b = self.base._value(s)
-        p = self.exponent
-        if p != round(p) and np.any(np.asarray(b) < 0.0):
-            raise DomainError(f"non-integer power {p} of a negative value")
-        if p < 0 and np.any(np.asarray(b) == 0.0):
-            raise DomainError(f"zero raised to negative power {p}")
-        return b ** p
-
 
 @dataclass(frozen=True)
 class Exp(ModelExpr):
     arg: ModelExpr
 
-    def _jet(self, s):
-        return jet.exp_jet(self.arg._jet(s))
 
-    def _value(self, s):
-        return np.exp(self.arg._value(s))
+def _compile(expr: ModelExpr, order: int, array: bool):
+    """One straight-line program for the first `order` derivatives of expr."""
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}")
+    tape = Tape(array)
+
+    def emit(e: ModelExpr):
+        if isinstance(e, Const):
+            return tape.constant(e.value, "s", order)
+        if isinstance(e, Var):
+            return tape.seed("s", order)
+        if isinstance(e, Sum):
+            return reduce(tape.add, map(emit, e.terms))
+        if isinstance(e, Prod):
+            return reduce(tape.mul, map(emit, e.factors))
+        if isinstance(e, Quot):
+            return tape.div(emit(e.num), emit(e.den))
+        if isinstance(e, Pow):
+            return tape.pow(emit(e.base), e.exponent)
+        if isinstance(e, Exp):
+            return tape.exp(emit(e.arg))
+        raise TypeError(f"unknown node {type(e).__name__}")
+
+    return tape.build(["s"], emit(expr))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .jet import DomainError
 from .models import ModelExpr, ModelPair
-from .flux import f_jet, f_value
+from .flux import f_jet, f_taylor, f_value  # noqa: F401  (perfbench/spans.py wraps f_jet here)
 
 DEFAULT_SAMPLES = 4096
 # tangency refinement: the construction needs at least 1e-10; the default is
@@ -42,10 +42,10 @@ class PairFlux:
 
     def deriv(self, s: float) -> float:
         try:
-            return float(f_jet(self.pair, s).f1)
+            return float(f_taylor(self.pair, s, 1)[1])
         except DomainError:
             # non-integer powers cannot be jetted at the exact endpoints
-            return float(f_jet(self.pair, min(max(s, _CLIP), 1.0 - _CLIP)).f1)
+            return float(f_taylor(self.pair, min(max(s, _CLIP), 1.0 - _CLIP), 1)[1])
 
 
 class ExprFlux:
@@ -59,9 +59,9 @@ class ExprFlux:
 
     def deriv(self, s: float) -> float:
         try:
-            return float(self.expr.eval_jet(s).f1)
+            return float(self.expr.taylor(s, 1)[1])
         except DomainError:
-            return float(self.expr.eval_jet(min(max(s, _CLIP), 1.0 - _CLIP)).f1)
+            return float(self.expr.taylor(min(max(s, _CLIP), 1.0 - _CLIP), 1)[1])
 
 
 class _Negated:

@@ -198,3 +198,15 @@ def test_domain_error_carries_point():
     m = ff.parse("1/(s - 0.5)")
     with pytest.raises(ff.DomainError, match="s=0.5"):
         m.eval_jet(0.5)
+
+
+def test_domain_error_on_array_names_first_failing_point():
+    m = ff.parse("1/(s - 0.5)")
+    s = np.array([0.1, 0.5, 0.7, 0.5])
+    for evaluate in (m.eval, m.eval_jet):
+        with pytest.raises(ff.DomainError, match=r"at s\[1\]=0\.5$") as info:
+            evaluate(s)
+        assert info.value.index == 1
+    pair = ff.ModelPair(ff.parse("s - s"), ff.parse("s - s"))
+    with pytest.raises(ff.DomainError, match=r"zero total mobility at s\[0\]=0\.25$"):
+        ff.f_jet(pair, np.array([0.25, 0.75]))
