@@ -21,7 +21,7 @@ exponential preset near s = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -165,15 +165,11 @@ def criterion_T3(m: ModelExpr) -> float:
     return float((j.f3 * j.f0 - 3.0 * j.f2 * j.f1) / j.f0 ** 4)
 
 
+# numerator of the ratio's derivative, and the ratio's denominator
 _RATIOS = {
-    "m2/m": lambda j: j.f3 * j.f0 - j.f2 * j.f1,  # numerator of (m''/m)'
-    "m2/m1": lambda j: j.f3 * j.f1 - j.f2 ** 2,   # numerator of (m''/m')'
-    "m1/m": lambda j: j.f2 * j.f0 - j.f1 ** 2,    # numerator of (m'/m)'
-}
-_RATIO_DENOMS = {
-    "m2/m": lambda j: j.f0,
-    "m2/m1": lambda j: j.f1,
-    "m1/m": lambda j: j.f0,
+    "m2/m": (lambda j: j.f3 * j.f0 - j.f2 * j.f1, lambda j: j.f0),   # (m''/m)'
+    "m2/m1": (lambda j: j.f3 * j.f1 - j.f2 ** 2, lambda j: j.f1),    # (m''/m')'
+    "m1/m": (lambda j: j.f2 * j.f0 - j.f1 ** 2, lambda j: j.f0),     # (m'/m)'
 }
 
 
@@ -189,14 +185,14 @@ def monotonicity_change_of_ratio(
     """
     if which not in _RATIOS:
         raise ValueError(f"which must be one of {sorted(_RATIOS)}, got {which!r}")
+    numerator, denominator = _RATIOS[which]
     s = np.linspace(eps, 1.0 - eps, grid_n)
     j = m.eval_jet(s)
-    den = np.asarray(_RATIO_DENOMS[which](j), dtype=float)
-    if not np.all(den > 0.0):
+    if not np.all(np.asarray(denominator(j), dtype=float) > 0.0):
         raise ValueError(f"ratio {which} denominator is not positive on the clipped grid")
-    g = np.asarray(_RATIOS[which](j), dtype=float)
+    g = np.asarray(numerator(j), dtype=float)
 
-    func = lambda t: float(_RATIOS[which](m.eval_jet(t)))
+    func = lambda t: float(numerator(m.eval_jet(t)))
     return [root for root, _ in sign_changes(s, g, func, tol)]
 
 
@@ -217,12 +213,22 @@ def sign_changes(s, values, func, tol, zero_tol: float = ZERO_TOL):
     # consecutive nonzero samples of opposite sign bracket a crossing
     for k in np.flatnonzero(sgn[nz[:-1]] != sgn[nz[1:]]):
         i, jdx = nz[k], nz[k + 1]
-        root = _bisect_sign_change(func, float(s[i]), float(s[jdx]), float(values[i]), tol)
+        root = _bisect_sign_change(func, float(s[i]), float(s[jdx]), tol, float(values[i]))
         out.append((root, "-+" if sgn[i] < 0 else "+-"))
     return out
 
 
-def _bisect_sign_change(func, lo, hi, f_lo, tol):
+def _bisect_sign_change(func, lo, hi, tol, f_lo=None):
+    """Bisect a sign change of func on [lo, hi] to an interval below tol.
+
+    f_lo is func(lo) when the caller has it; otherwise it is evaluated here
+    and lo is returned when it is a root.  A midpoint where func is exactly
+    zero is returned at once.
+    """
+    if f_lo is None:
+        f_lo = func(lo)
+        if f_lo == 0.0:
+            return lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         f_mid = func(mid)
@@ -237,21 +243,7 @@ def _bisect_sign_change(func, lo, hi, f_lo, tol):
 
 def report_to_dict(report: ConditionReport) -> dict:
     """JSON-ready dict mirroring ConditionReport."""
-    return {
-        "c1": report.c1,
-        "c2": report.c2,
-        "c3": report.c3,
-        "c4": report.c4,
-        "c4star": report.c4star,
-        "in_class_M": report.in_class_M,
-        "witnesses": [
-            {"condition": w.condition, "s": w.s, "value": w.value, "kind": w.kind}
-            for w in report.witnesses
-        ],
-        "criterion_T3": report.criterion_T3,
-        "grid_n": report.grid_n,
-        "eps": report.eps,
-    }
+    return asdict(report)
 
 
 def report_to_text(report: ConditionReport) -> str:

@@ -18,13 +18,6 @@ from . import classifier, flux, models, riemann
 from .jet import DomainError
 from .models import ModelExpr, ModelPair, ParseError
 
-COUNTEREXAMPLES = (
-    ("counterexample-1", "s^1.1 * exp(s^10)"),
-    ("counterexample-2", "s^1.1 * (1 + 15*s^10)"),
-    ("counterexample-3", "s^1.1 * (1 + 15*s^30)"),
-)
-
-
 def _load_model_arg(text: str, key: str) -> ModelExpr:
     """Inline expression or model-spec file path; files contribute `key`."""
     if os.path.exists(text):
@@ -133,7 +126,8 @@ def cmd_figures(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     grid_n = args.grid
     manifest = {"pairs": []}
-    for name, text in COUNTEREXAMPLES:
+    for k, text in enumerate(models.COUNTEREXAMPLES, 1):
+        name = f"counterexample-{k}"
         m = models.parse(text)
         pair = ModelPair(m, m)
         analysis = flux.inflection_points(pair)
@@ -160,7 +154,7 @@ def cmd_figures(args) -> int:
         manifest["pairs"].append(entry)
     with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
-    print(f"wrote {2 * len(COUNTEREXAMPLES)} data files and manifest.json to {args.out}")
+    print(f"wrote {2 * len(models.COUNTEREXAMPLES)} data files and manifest.json to {args.out}")
     return 0
 
 

@@ -71,28 +71,21 @@ def f_jet(pair: ModelPair, s: Real) -> Jet3:
 
 
 def f_value(pair: ModelPair, s: Real) -> Real:
-    """Flux value only, extended by the exact limits f(0) = 0 and f(1) = 1."""
+    """Flux value only (order 0 of f_taylor), extended by the exact limits
+    f(0) = 0 and f(1) = 1."""
     if isinstance(s, np.ndarray):
         out = np.empty_like(s, dtype=float)
         interior = (s != 0.0) & (s != 1.0)
         out[s == 0.0] = 0.0
         out[s == 1.0] = 1.0
         if np.any(interior):
-            si = s[interior]
-            va = pair.m_a.eval(si)
-            vb = pair.m_b.eval(1.0 - si)
-            out[interior] = va / (va + vb)
+            out[interior] = f_taylor(pair, s[interior], 0)[0]
         return out
     if s == 0.0:
         return 0.0
     if s == 1.0:
         return 1.0
-    va = pair.m_a.eval(s)
-    vb = pair.m_b.eval(1.0 - s)
-    total = va + vb
-    if total == 0.0:
-        raise DomainError(f"zero total mobility at s={s!r}")
-    return va / total
+    return f_taylor(pair, s, 0)[0]
 
 
 def f2_closed(pair: ModelPair, s: Real) -> Real:
@@ -178,18 +171,6 @@ def inflection_points(
         f3_at_half=f3_half,
         tangency_warnings=warnings_list,
     )
-
-
-def analysis_to_dict(analysis: FluxAnalysis) -> dict:
-    """JSON-ready dict mirroring FluxAnalysis."""
-    return {
-        "inflections": [{"s": i.s, "direction": i.direction} for i in analysis.inflections],
-        "s1": analysis.s1,
-        "s2": analysis.s2,
-        "s_shaped": analysis.s_shaped,
-        "f3_at_half": analysis.f3_at_half,
-        "tangency_warnings": analysis.tangency_warnings,
-    }
 
 
 def analysis_to_text(analysis: FluxAnalysis) -> str:

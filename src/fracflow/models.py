@@ -20,6 +20,7 @@ Trees are immutable; equality is structural.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -174,16 +175,9 @@ def _num_str(x: float) -> str:
 
 def _split_negation(e: ModelExpr):
     # Return the positive counterpart if e prints with a leading minus.
-    if isinstance(e, Const) and e.value < 0:
-        return Const(-e.value)
-    if isinstance(e, Prod) and isinstance(e.factors[0], Const) and e.factors[0].value < 0:
-        lead = -e.factors[0].value
-        rest = e.factors[1:]
-        if lead == 1.0 and len(rest) == 1:
-            return rest[0]
-        if lead == 1.0:
-            return Prod(rest)
-        return Prod((Const(lead),) + rest)
+    lead = e.factors[0] if isinstance(e, Prod) else e
+    if isinstance(lead, Const) and lead.value < 0:
+        return _negate(e)
     return None
 
 
@@ -257,7 +251,10 @@ def _tokenize(text: str):
                 break
             raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
         if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
+            value = float(m.group("num"))
+            if not math.isfinite(value):
+                raise ParseError("number out of range", m.start("num"))
+            tokens.append(("num", value, m.start("num")))
         elif m.lastgroup == "ident":
             tokens.append(("ident", m.group("ident"), m.start("ident")))
         else:
@@ -457,6 +454,11 @@ def product(m1: ModelExpr, m2: ModelExpr) -> ModelExpr:
     return Prod(f1 + f2)
 
 
+# the paper's three counterexamples: mobilities that satisfy c1-c3 but whose
+# symmetric pairs have more than one flux inflection
+COUNTEREXAMPLES = ("s^1.1 * exp(s^10)", "s^1.1 * (1 + 15*s^10)", "s^1.1 * (1 + 15*s^30)")
+
+
 def catalog() -> dict[str, ModelExpr]:
     """Representative named instances of every model family in the catalog."""
     return {
@@ -467,9 +469,7 @@ def catalog() -> dict[str, ModelExpr]:
         "brooks_b_2_2": brooks_b(2.0, 2.0),
         "brooks_b_3_2.5": brooks_b(3.0, 2.5),
         "chierici_B3": chierici(1.0, 3.0, 1.0),
-        "counterexample_1": parse("s^1.1 * exp(s^10)"),
-        "counterexample_2": parse("s^1.1 * (1 + 15*s^10)"),
-        "counterexample_3": parse("s^1.1 * (1 + 15*s^30)"),
+        **{f"counterexample_{k}": parse(text) for k, text in enumerate(COUNTEREXAMPLES, 1)},
     }
 
 

@@ -15,12 +15,14 @@ near-tangential contact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
 
 from .jet import DomainError
 from .models import ModelExpr, ModelPair
+from .classifier import _bisect_sign_change as _bisect  # perfbench/spans.py times it under this name
 from .flux import f_jet, f_taylor, f_value  # noqa: F401  (perfbench/spans.py wraps f_jet here)
 
 DEFAULT_SAMPLES = 4096
@@ -36,16 +38,13 @@ class PairFlux:
 
     def __init__(self, pair: ModelPair):
         self.pair = pair
+        self._taylor = partial(f_taylor, pair)
 
     def value(self, s):
         return f_value(self.pair, s)
 
     def deriv(self, s: float) -> float:
-        try:
-            return float(f_taylor(self.pair, s, 1)[1])
-        except DomainError:
-            # non-integer powers cannot be jetted at the exact endpoints
-            return float(f_taylor(self.pair, min(max(s, _CLIP), 1.0 - _CLIP), 1)[1])
+        return _slope(self._taylor, s)
 
 
 class ExprFlux:
@@ -58,21 +57,17 @@ class ExprFlux:
         return self.expr.eval(s)
 
     def deriv(self, s: float) -> float:
-        try:
-            return float(self.expr.taylor(s, 1)[1])
-        except DomainError:
-            return float(self.expr.taylor(min(max(s, _CLIP), 1.0 - _CLIP), 1)[1])
+        return _slope(self.expr.taylor, s)
 
 
-class _Negated:
-    def __init__(self, flux):
-        self._flux = flux
-
-    def value(self, s):
-        return -self._flux.value(s)
-
-    def deriv(self, s):
-        return -self._flux.deriv(s)
+def _slope(taylor, s: float) -> float:
+    """First derivative from taylor(s, order), clipped into [_CLIP, 1 - _CLIP]
+    when the exact point is outside the derivative's domain (non-integer
+    powers cannot be jetted at the exact endpoints)."""
+    try:
+        return float(taylor(s, 1)[1])
+    except DomainError:
+        return float(taylor(min(max(s, _CLIP), 1.0 - _CLIP), 1)[1])
 
 
 FluxLike = Union[ModelPair, ModelExpr]
@@ -150,28 +145,14 @@ def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     return hull
 
 
-def _bisect(func, lo, hi, tol):
-    f_lo = func(lo)
-    if f_lo == 0.0:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = func(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def envelope(flux, a: float, b: float, orientation: str,
              n_samples: int = DEFAULT_SAMPLES, refine_tol: float = REFINE_TOL):
     """Lower convex or upper concave envelope of the flux on [a, b].
 
     Returns a contiguous, s-ordered list of ContactArc and Chord pieces
-    tiling [a, b].  orientation is "convex_lower" or "concave_upper".
+    tiling [a, b].  orientation is "convex_lower" or "concave_upper"; the
+    upper concave envelope of f is the lower convex envelope of -f, so the
+    construction runs on sign*f with sign = -1 for it.
     """
     if orientation not in ("convex_lower", "concave_upper"):
         raise ValueError(f"unknown orientation {orientation!r}")
@@ -180,16 +161,13 @@ def envelope(flux, a: float, b: float, orientation: str,
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     curve = _as_curve(flux)
-    if orientation == "concave_upper":
-        pieces = envelope(_Negated(curve), a, b, "convex_lower", n_samples, refine_tol)
-        return [
-            Chord(p.s_lo, p.s_hi, -p.slope) if isinstance(p, Chord) else p
-            for p in pieces
-        ]
+    sign = 1.0 if orientation == "convex_lower" else -1.0
+    value = lambda t: sign * curve.value(t)
+    deriv = lambda t: sign * curve.deriv(t)
 
     n = max(int(n_samples), 1024)
     xs = np.linspace(a, b, n + 1)
-    ys = np.asarray(curve.value(xs), dtype=float)
+    ys = np.asarray(value(xs), dtype=float)
     hull = _lower_hull_indices(xs, ys)
 
     # classify hull edges, merging runs of adjacent-sample edges into arcs
@@ -208,9 +186,9 @@ def envelope(flux, a: float, b: float, orientation: str,
 
     def _chord_deviation(lo: float, hi: float) -> float:
         ts = np.linspace(lo, hi, 9)[1:-1]
-        f_lo, f_hi = curve.value(lo), curve.value(hi)
+        f_lo, f_hi = value(lo), value(hi)
         line = f_lo + (ts - lo) / (hi - lo) * (f_hi - f_lo)
-        return float(np.max(np.abs(np.asarray(curve.value(ts)) - line)))
+        return float(np.max(np.abs(np.asarray(value(ts)) - line)))
 
     cleaned: list[tuple[str, float, float]] = []
     for kind, lo, hi in raw:
@@ -227,7 +205,7 @@ def envelope(flux, a: float, b: float, orientation: str,
     def refine_end(t0: float, slope: float) -> float:
         lo = max(a, t0 - h)
         hi = min(b, t0 + h)
-        g = lambda t: curve.deriv(t) - slope
+        g = lambda t: deriv(t) - slope
         if g(lo) * g(hi) > 0.0:
             return t0
         return _bisect(g, lo, hi, refine_tol)
@@ -238,7 +216,7 @@ def envelope(flux, a: float, b: float, orientation: str,
     for kind, lo, hi in raw:
         if kind == "chord":
             for _ in range(3):
-                slope = (curve.value(hi) - curve.value(lo)) / (hi - lo)
+                slope = (value(hi) - value(lo)) / (hi - lo)
                 if lo > a:
                     lo = refine_end(lo, slope)
                 if hi < b:
@@ -267,8 +245,8 @@ def envelope(flux, a: float, b: float, orientation: str,
         if kind == "arc":
             pieces.append(ContactArc(lo, hi))
         else:
-            slope = float((curve.value(hi) - curve.value(lo)) / (hi - lo))
-            pieces.append(Chord(lo, hi, slope))
+            slope = float((value(hi) - value(lo)) / (hi - lo))
+            pieces.append(Chord(lo, hi, sign * slope))
     return pieces
 
 
@@ -279,21 +257,20 @@ def solve(problem: RiemannProblem, n_samples: int = DEFAULT_SAMPLES) -> WaveFan:
     if s_L == s_R:
         return WaveFan(s_L, s_R, [], curve)
 
-    waves: list[Wave] = []
-    if s_L < s_R:
+    # the fan runs from s_L to s_R: states ascend with xi on the lower convex
+    # envelope, descend on the upper concave one (pieces taken in reverse)
+    ascending = s_L < s_R
+    if ascending:
         pieces = envelope(curve, s_L, s_R, "convex_lower", n_samples)
-        for p in pieces:  # states ascend with xi
-            if isinstance(p, Chord):
-                waves.append(Shock(p.s_lo, p.s_hi, p.slope))
-            else:
-                waves.append(Rarefaction(p.s_lo, p.s_hi, curve.deriv(p.s_lo), curve.deriv(p.s_hi)))
     else:
-        pieces = envelope(curve, s_R, s_L, "concave_upper", n_samples)
-        for p in reversed(pieces):  # states descend with xi
-            if isinstance(p, Chord):
-                waves.append(Shock(p.s_hi, p.s_lo, p.slope))
-            else:
-                waves.append(Rarefaction(p.s_hi, p.s_lo, curve.deriv(p.s_hi), curve.deriv(p.s_lo)))
+        pieces = envelope(curve, s_R, s_L, "concave_upper", n_samples)[::-1]
+    waves: list[Wave] = []
+    for p in pieces:
+        left, right = (p.s_lo, p.s_hi) if ascending else (p.s_hi, p.s_lo)
+        if isinstance(p, Chord):
+            waves.append(Shock(left, right, p.slope))
+        else:
+            waves.append(Rarefaction(left, right, curve.deriv(left), curve.deriv(right)))
     return WaveFan(s_L, s_R, waves, curve)
 
 
@@ -317,19 +294,6 @@ def evaluate(fan: WaveFan, xi: float, tol: float = INVERT_TOL) -> float:
                 return _bisect(lambda t: fan.flux.deriv(t) - xi, lo, hi, tol)
         state = w.right_state
     return state
-
-
-def fan_to_dict(fan: WaveFan) -> dict:
-    waves = []
-    for w in fan.waves:
-        if isinstance(w, Shock):
-            waves.append({"type": "shock", "left_state": w.left_state,
-                          "right_state": w.right_state, "speed": w.speed})
-        else:
-            waves.append({"type": "rarefaction", "left_state": w.left_state,
-                          "right_state": w.right_state,
-                          "speed_range": [w.speed_lo, w.speed_hi]})
-    return {"s_L": fan.s_left, "s_R": fan.s_right, "waves": waves}
 
 
 def fan_to_text(fan: WaveFan) -> str:

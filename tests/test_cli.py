@@ -48,6 +48,14 @@ def test_check_parse_error_exits_two(capsys):
     assert "error" in err
 
 
+def test_check_overflowing_literal_exits_two(capsys):
+    code, out, err = run(capsys, "check", "s^1e999")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: number out of range (at position 2)")
+    assert "Traceback" not in err
+
+
 def test_check_json_round_trips_at_full_precision(capsys):
     code, out, _ = run(capsys, "check", "s^1.1 * exp(s^10)", "--json")
     assert code == 1

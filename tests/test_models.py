@@ -63,6 +63,13 @@ def test_parse_numeric_exponent_required():
         ff.parse("s^s")
 
 
+@pytest.mark.parametrize("text, position", [("s^1e999", 2), ("1e999*s", 0), ("s + 2e400", 4)])
+def test_parse_rejects_literals_that_overflow(text, position):
+    with pytest.raises(ParseError, match="number out of range") as err:
+        ff.parse(text)
+    assert err.value.position == position
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -198,6 +205,9 @@ def test_domain_error_carries_point():
     m = ff.parse("1/(s - 0.5)")
     with pytest.raises(ff.DomainError, match="s=0.5"):
         m.eval_jet(0.5)
+    pair = ff.ModelPair(ff.parse("s - s"), ff.parse("s - s"))
+    with pytest.raises(ff.DomainError, match=r"^zero total mobility at s=0\.5$"):
+        ff.f_value(pair, 0.5)
 
 
 def test_domain_error_on_array_names_first_failing_point():
@@ -208,5 +218,7 @@ def test_domain_error_on_array_names_first_failing_point():
             evaluate(s)
         assert info.value.index == 1
     pair = ff.ModelPair(ff.parse("s - s"), ff.parse("s - s"))
-    with pytest.raises(ff.DomainError, match=r"zero total mobility at s\[0\]=0\.25$"):
-        ff.f_jet(pair, np.array([0.25, 0.75]))
+    for flux in (ff.f_jet, ff.f_value):
+        with pytest.raises(ff.DomainError, match=r"zero total mobility at s\[0\]=0\.25$") as info:
+            flux(pair, np.array([0.25, 0.75]))
+        assert info.value.index == 0

@@ -229,3 +229,19 @@ def test_envelope_orientation_validation():
         rm.envelope(ff.parse("s^2"), 0.0, 1.0, "sideways")
     with pytest.raises(ValueError):
         rm.envelope(ff.parse("s^2"), 0.7, 0.3, "convex_lower")
+
+
+CE3_FLUX = ("s^1.1*(1 + 15*s^30)/(s^1.1*(1 + 15*s^30) + (1 - s)^1.1*(1 + 15*(1 - s)^30))")
+
+
+@pytest.mark.parametrize("text", ["s^2/(s^2 + (1 - s)^2)", "s^2", CE3_FLUX])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 0.5), (0.05, 0.6), (0.3, 0.95)])
+def test_concave_envelope_is_the_convex_envelope_of_the_negated_flux(text, a, b):
+    # the upper concave envelope of f is exactly minus the lower convex
+    # envelope of -f: same pieces, same ends, chord slopes negated
+    upper = rm.envelope(ff.parse(text), a, b, "concave_upper")
+    lower = rm.envelope(ff.parse(f"-({text})"), a, b, "convex_lower")
+    assert upper
+    assert upper == [
+        rm.Chord(p.s_lo, p.s_hi, -p.slope) if isinstance(p, rm.Chord) else p for p in lower
+    ]
