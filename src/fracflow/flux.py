@@ -79,7 +79,13 @@ def f_value(pair: ModelPair, s: Real) -> Real:
         out[s == 0.0] = 0.0
         out[s == 1.0] = 1.0
         if np.any(interior):
-            out[interior] = f_taylor(pair, s[interior], 0)[0]
+            try:
+                out[interior] = f_taylor(pair, s[interior], 0)[0]
+            except DomainError as exc:
+                # the failing element's index into s, not into s[interior]
+                index = int(np.flatnonzero(interior)[exc.index])
+                head, _, value = str(exc).rpartition(f"s[{exc.index}]=")
+                raise DomainError(f"{head}s[{index}]={value}", index) from None
         return out
     if s == 0.0:
         return 0.0

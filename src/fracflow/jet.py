@@ -81,6 +81,10 @@ def _ones_like(s: Real) -> Real:
     return np.ones_like(s) if isinstance(s, np.ndarray) else 1.0
 
 
+def _copy(x: Real) -> Real:
+    return x.copy() if isinstance(x, np.ndarray) else x
+
+
 # Component j of each rule; {aj}, {bj}: operand components, {cj}: result
 # components already computed, {pj}: derivatives of the outer function.
 _LEIBNIZ = (
@@ -110,7 +114,7 @@ def _maker(src: str) -> Callable:
     # Constants and messages are arguments of `make`, so trees of one shape
     # (one source text) share one code object and differ only in closures.
     namespace = {"np": np, "exp": np.exp, "DomainError": DomainError,
-                 "_ones_like": _ones_like, "_zeros_like": _zeros_like}
+                 "_ones_like": _ones_like, "_zeros_like": _zeros_like, "_copy": _copy}
     exec(compile(src, "<jet tape>", "exec"), namespace)
     return namespace["make"]
 
@@ -121,9 +125,10 @@ class Tape:
     With array=False the program runs on plain floats and domain checks are
     float comparisons.  With array=True components are numpy arrays (or
     anything np.asarray takes) and a failed check reports the flat index of
-    the first failing element.  The rules take jets as tuples of component
-    names and return the names of their result; the order is the length
-    of the tuples minus one.
+    the first failing element; all components of one array program share
+    one shape, so it allocates one array of ones and one of zeros at most.
+    The rules take jets as tuples of component names and return the names
+    of their result; the order is the length of the tuples minus one.
     """
 
     def __init__(self, array: bool):
@@ -131,6 +136,7 @@ class Tape:
         self.lines: list[str] = []
         self.consts: list = []
         self._n = 0
+        self._filled: dict[str, str] = {}
 
     def let(self, expr: str) -> str:
         name = f"v{self._n}"
@@ -150,8 +156,20 @@ class Tape:
         else:
             self.lines.append(f"if {bad}: raise DomainError({self.const(message)})")
 
+    def fill(self, maker: str, like: str) -> str:
+        """The program's one array of `maker` ("_ones_like" or "_zeros_like"),
+        shaped like the first `like` asked for."""
+        if maker not in self._filled:
+            self._filled[maker] = self.let(f"{maker}({like})")
+        return self._filled[maker]
+
     def build(self, params: list[str], result: Names) -> Callable:
         """Compile the program into a function of params returning the tuple result."""
+        if self.array:  # a local returned twice (a shared fill) is copied
+            out: list[str] = []
+            for name in result:
+                out.append(self.let(f"_copy({name})") if name in out else name)
+            result = tuple(out)
         lines = self._released(result) if self.array else self.lines
         body = "".join(f"        {line}\n" for line in lines)
         src = (
@@ -198,9 +216,8 @@ class Tape:
         """Jet of a constant, shaped like the input: (c, 0, 0, 0)."""
         if not self.array:
             return (self.const(value * 1.0),) + ("0.0",) * order
-        c = self.let(f"{self.const(value)} * _ones_like({like})")
-        zero = (self.let(f"_zeros_like({c})"),) if order else ()
-        return (c,) + zero * order
+        c = self.let(f"{self.const(value)} * {self.fill('_ones_like', like)}")
+        return (c,) + (self.fill("_zeros_like", like),) * order
 
     def _unit(self, like: str, n: int) -> Names:
         """The first n components of the jet of 1, shaped like `like`."""
@@ -208,8 +225,8 @@ class Tape:
             return ("1.0", "0.0", "0.0", "0.0")[:n]
         if n == 0:
             return ()
-        zero = (self.let(f"_zeros_like({like})"),) if n > 1 else ()
-        return (self.let(f"_ones_like({like})"),) + zero * (n - 1)
+        zero = (self.fill("_zeros_like", like),) if n > 1 else ()
+        return (self.fill("_ones_like", like),) + zero * (n - 1)
 
     # -- rules -----------------------------------------------------------
 

@@ -366,6 +366,8 @@ class _Parser:
 def _negate(e: ModelExpr) -> ModelExpr:
     if isinstance(e, Const):
         return Const(-e.value)
+    if isinstance(e, Prod) and len(e.factors) == 1:
+        return _negate(e.factors[0])
     if isinstance(e, Prod):
         first = e.factors[0]
         if isinstance(first, Const):

@@ -9,12 +9,24 @@ The envelope itself is built from a monotone-chain hull over a dense
 sample of the graph; hull edges joining adjacent samples are "contact"
 edges, longer edges are chords whose tangency points are then refined
 against the exact derivative, since sampling alone misclassifies
-near-tangential contact.
+near-tangential contact.  Before the chain runs, one numpy pass drops every
+interior sample that is not locally convex (cross product with its two
+neighbours <= 0): such a point lies on or above its neighbours' chord and is
+never a strict hull vertex.
+
+Inside a rarefaction the profile inverts f'(s) = xi.  The first inversion
+in a wave tabulates f' at _TABLE_N points of the arc with one array
+program, and the table is cached on the fan.  Each xi takes its bracket
+from the table's sign change and refines it by Illinois regula falsi on the
+scalar f', with a probe at tol/2 that closes the bracket once a step lands
+next to one of its ends.  Like bisection, the result lies within tol of a
+sign change of f' - xi; where the table and the scalar f' disagree, plain
+bisection over the whole arc is used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Union
 
@@ -31,6 +43,7 @@ DEFAULT_SAMPLES = 4096
 REFINE_TOL = 1e-12
 INVERT_TOL = 1e-10
 _CLIP = 1e-9  # fallback clip for derivative evaluation at the domain ends
+_TABLE_N = 65  # f' samples per rarefaction that bracket its inversions
 
 
 class PairFlux:
@@ -52,12 +65,13 @@ class ExprFlux:
 
     def __init__(self, expr: ModelExpr):
         self.expr = expr
+        self._taylor = expr.taylor
 
     def value(self, s):
         return self.expr.eval(s)
 
     def deriv(self, s: float) -> float:
-        return _slope(self.expr.taylor, s)
+        return _slope(self._taylor, s)
 
 
 def _slope(taylor, s: float) -> float:
@@ -129,20 +143,30 @@ class WaveFan:
     s_right: float
     waves: list[Wave]
     flux: object  # curve used for rarefaction inversion
+    # per rarefaction index: (points, f' there or None), built on first inversion
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
+    """Lower hull of the points (xs[i], ys[i]), xs ascending, by the monotone
+    chain; the chain visits only the ends and the locally convex samples."""
+    x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
+    y0, y1, y2 = ys[:-2], ys[1:-1], ys[2:]
+    keep = np.ones(len(xs), dtype=bool)
+    keep[1:-1] = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0.0
+    index = np.flatnonzero(keep)
+    x, y = xs[index].tolist(), ys[index].tolist()
     hull: list[int] = []
-    for i in range(len(xs)):
+    for i in range(len(x)):
         while len(hull) >= 2:
             o, a = hull[-2], hull[-1]
-            cross = (xs[a] - xs[o]) * (ys[i] - ys[o]) - (ys[a] - ys[o]) * (xs[i] - xs[o])
+            cross = (x[a] - x[o]) * (y[i] - y[o]) - (y[a] - y[o]) * (x[i] - x[o])
             if cross <= 0.0:
                 hull.pop()
             else:
                 break
         hull.append(i)
-    return hull
+    return index[hull].tolist()
 
 
 def envelope(flux, a: float, b: float, orientation: str,
@@ -278,10 +302,11 @@ def evaluate(fan: WaveFan, xi: float, tol: float = INVERT_TOL) -> float:
     """Self-similar solution s(xi), xi = x/t.
 
     Constant states outside and between waves; inside a rarefaction the
-    state inverts f'(s) = xi by bisection on the (monotone) contact arc.
+    state inverts f'(s) = xi on the (monotone) contact arc, to within tol of
+    a sign change of f' - xi.
     """
     state = fan.s_left
-    for w in fan.waves:
+    for k, w in enumerate(fan.waves):
         if isinstance(w, Shock):
             if xi < w.speed:
                 return state
@@ -289,11 +314,74 @@ def evaluate(fan: WaveFan, xi: float, tol: float = INVERT_TOL) -> float:
             if xi < w.speed_lo:
                 return state
             if xi <= w.speed_hi:
-                lo = min(w.left_state, w.right_state)
-                hi = max(w.left_state, w.right_state)
-                return _bisect(lambda t: fan.flux.deriv(t) - xi, lo, hi, tol)
+                return _invert(fan, k, xi, tol)
         state = w.right_state
     return state
+
+
+def _invert(fan: WaveFan, k: int, xi: float, tol: float) -> float:
+    """s on rarefaction k with f'(s) = xi: bracketed by the wave's f' table,
+    refined by regula falsi on the scalar f'.  Bisection over the whole arc
+    when the table has no sign change, or the scalar f' is zero at a bracket
+    end or does not confirm the change."""
+    w = fan.waves[k]
+    lo, hi = min(w.left_state, w.right_state), max(w.left_state, w.right_state)
+    g = lambda t: fan.flux.deriv(t) - xi
+    if k not in fan._tables:
+        fan._tables[k] = _slope_table(fan.flux, lo, hi)
+    ts, ds = fan._tables[k]
+    if ds is not None:
+        above = ds > xi
+        hits = np.flatnonzero((above[1:] != above[0]) | (ds[1:] == xi))
+        if hits.size:
+            a, b = float(ts[hits[0]]), float(ts[hits[0] + 1])
+            g_a, g_b = g(a), g(b)
+            if g_a < 0.0 < g_b or g_b < 0.0 < g_a:
+                return _regula_falsi(g, a, b, g_a, g_b, tol)
+    return _bisect(g, lo, hi, tol)
+
+
+def _slope_table(curve, lo: float, hi: float):
+    """(_TABLE_N points spanning [lo, hi], f' there) from one array program,
+    evaluated at the points clipped into [_CLIP, 1 - _CLIP]; f' is None when
+    the curve has no array program or it fails there."""
+    ts = np.linspace(lo, hi, _TABLE_N)
+    taylor = getattr(curve, "_taylor", None)
+    if taylor is None:
+        return ts, None
+    try:
+        ds = taylor(np.clip(ts, _CLIP, 1.0 - _CLIP), 1)[1]
+    except DomainError:
+        return ts, None
+    return ts, (ds if np.all(np.isfinite(ds)) else None)
+
+
+def _regula_falsi(g, a: float, b: float, g_a: float, g_b: float, tol: float) -> float:
+    """Illinois regula falsi on a sign change of g in [a, b] (g_a and g_b of
+    opposite signs) down to a bracket below tol; returns its midpoint.
+
+    The end kept twice in a row has its value halved.  A step that would land
+    within tol/2 of an end probes at tol/2 from it instead, which closes the
+    bracket when the root lies that close (Dekker's safeguard).
+    """
+    half = 0.5 * tol
+    kept = 0  # end kept by the last step: -1 for a, 1 for b
+    while b - a > tol:
+        t = min(max(b - g_b * (b - a) / (g_b - g_a), a + half), b - half)
+        g_t = g(t)
+        if g_t == 0.0:
+            return t
+        if (g_t > 0.0) == (g_a > 0.0):
+            a, g_a = t, g_t
+            if kept == 1:
+                g_b *= 0.5
+            kept = 1
+        else:
+            b, g_b = t, g_t
+            if kept == -1:
+                g_a *= 0.5
+            kept = -1
+    return 0.5 * (a + b)
 
 
 def fan_to_text(fan: WaveFan) -> str:

@@ -1,6 +1,8 @@
 """Compiled tree evaluation: order truncation, scalar vs array, mpmath oracle,
 and the hard inputs at the domain boundary."""
 
+import collections
+import functools
 import pickle
 
 import mpmath
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow import riemann
+from fracflow import jet, models, riemann
 from fracflow.flux import f_taylor
 
 from conftest import draw_member, rel_close
@@ -131,3 +133,60 @@ def test_evaluated_tree_pickles_without_its_programs():
     assert copy == m
     assert "_programs" not in copy.__dict__
     assert copy.taylor(0.3, 2) == before
+
+
+def _walk(m, s):
+    """Order-3 jet of m by composing the single-rule Jet3 programs node by node."""
+    if isinstance(m, models.Const):
+        return jet.constant(m.value * np.ones_like(s))
+    if isinstance(m, models.Var):
+        return jet.seed(s)
+    if isinstance(m, models.Sum):
+        return functools.reduce(jet.add, (_walk(t, s) for t in m.terms))
+    if isinstance(m, models.Prod):
+        return functools.reduce(jet.mul, (_walk(f, s) for f in m.factors))
+    if isinstance(m, models.Quot):
+        return jet.div(_walk(m.num, s), _walk(m.den, s))
+    if isinstance(m, models.Pow):
+        return jet.pow_const(_walk(m.base, s), m.exponent)
+    return jet.exp_jet(_walk(m.arg, s))
+
+
+LEAF_TREES = [ff.parse(t) for t in ("s", "2", "s^0", "(1 + s)^0", "s^-2", "3*s^2 + 1")]
+
+
+@pytest.mark.parametrize("name,m", TREES + [(str(m), m) for m in LEAF_TREES])
+def test_array_program_equals_node_by_node_composition(name, m):
+    walked = _walk(m, POINTS)
+    full = (walked.f0, walked.f1, walked.f2, walked.f3)
+    for k in range(1, 4):
+        got = m.taylor(POINTS, k)
+        for a, b in zip(got, full):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, k)
+
+
+def test_array_program_allocates_one_ones_and_one_zeros(monkeypatch):
+    calls = collections.Counter()
+    for maker in ("_ones_like", "_zeros_like"):
+        original = getattr(jet, maker)
+        monkeypatch.setattr(jet, maker, lambda s, f=original, n=maker: calls.update([n]) or f(s))
+    jet._maker.cache_clear()  # recompile with the counting fills
+    m = ff.parse("s^1.1*(1 + 15*s^3) + 2*s^4 - (1 + s)^2/(3 + s)^2")
+    for order in (1, 2, 3):
+        calls.clear()
+        m._programs.clear()
+        m.taylor(POINTS, order)
+        assert calls == {"_ones_like": 1, "_zeros_like": 1}, order
+    jet._maker.cache_clear()
+
+
+@pytest.mark.parametrize("m", LEAF_TREES + [m for _, m in TREES[:4]], ids=str)
+def test_returned_components_are_separate_arrays(m):
+    for order in (1, 2, 3):
+        for j in range(order + 1):
+            comps = m.taylor(POINTS.copy(), order)
+            before = [c.copy() for c in comps]
+            comps[j][:] = 7.0
+            for i, (c, b) in enumerate(zip(comps, before)):
+                if i != j:
+                    assert np.array_equal(c, b), (str(m), order, j, i)

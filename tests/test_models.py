@@ -94,6 +94,15 @@ def test_catalog_presets_round_trip():
         assert ff.parse(str(m)) == m, name
 
 
+@pytest.mark.parametrize("value", [-1.0, -2.5])
+def test_one_factor_product_of_a_negative_constant_prints(value):
+    e = Sum((Var(), Prod((Const(value),))))
+    text = str(e)
+    assert text == f"s - {-value:g}"
+    for s in (0.1, 0.5, 0.9):
+        assert ff.parse(text).eval(s) == e.eval(s)
+
+
 def test_power_preset_jet():
     j = ff.power(1, 2).eval_jet(0.5)
     assert (j.f0, j.f1, j.f2, j.f3) == (0.25, 1.0, 2.0, 0.0)
@@ -222,3 +231,14 @@ def test_domain_error_on_array_names_first_failing_point():
         with pytest.raises(ff.DomainError, match=r"zero total mobility at s\[0\]=0\.25$") as info:
             flux(pair, np.array([0.25, 0.75]))
         assert info.value.index == 0
+
+
+def test_array_f_value_names_the_failing_element_of_the_whole_input():
+    pair = ff.ModelPair(ff.parse("s - s"), ff.parse("s - s"))
+    with pytest.raises(ff.DomainError, match=r"^zero total mobility at s\[1\]=0\.25$") as info:
+        ff.f_value(pair, np.array([0.0, 0.25, 0.5]))
+    assert info.value.index == 1
+    pair = ff.ModelPair(ff.parse("s"), ff.parse("(s - 0.5)^1.5"))
+    with pytest.raises(ff.DomainError, match=r"\(s - 0\.5\)\^1\.5 at s\[3\]=0\.25$") as info:
+        ff.f_value(pair, np.array([1.0, 0.0, 0.25, 0.75]))  # m_b fails at 1 - 0.75
+    assert info.value.index == 3

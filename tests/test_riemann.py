@@ -7,6 +7,7 @@ import pytest
 
 import fracflow as ff
 from fracflow import riemann as rm
+from fracflow.flux import f_taylor
 
 from conftest import draw_member
 
@@ -245,3 +246,187 @@ def test_concave_envelope_is_the_convex_envelope_of_the_negated_flux(text, a, b)
     assert upper == [
         rm.Chord(p.s_lo, p.s_hi, -p.slope) if isinstance(p, rm.Chord) else p for p in lower
     ]
+
+
+# -- rarefaction inversion ---------------------------------------------------
+
+def bisection_profile(fan, xi):
+    """evaluate() as plain bisection on f' - xi over each whole arc."""
+    state = fan.s_left
+    for w in fan.waves:
+        if isinstance(w, rm.Shock):
+            if xi < w.speed:
+                return state
+        else:
+            if xi < w.speed_lo:
+                return state
+            if xi <= w.speed_hi:
+                lo, hi = sorted((w.left_state, w.right_state))
+                return rm._bisect(lambda t: fan.flux.deriv(t) - xi, lo, hi, rm.INVERT_TOL)
+        state = w.right_state
+    return state
+
+
+def _clipped_end(pair, s):
+    try:
+        f_taylor(pair, s, 1)
+    except ff.DomainError:
+        return True
+    return False
+
+
+INVERSION_CASES = [
+    (f"{name} {s_L:g}->{1.0 - s_L:g}", ff.ModelPair(m, m), s_L)
+    for name, m in ff.catalog().items() for s_L in (1.0, 0.0)
+] + [("corey 1->0", ff.ModelPair(ff.corey_a(), ff.corey_b()), 1.0),
+     ("corey 0->1", ff.ModelPair(ff.corey_a(), ff.corey_b()), 0.0)]
+
+
+@pytest.mark.parametrize("name,pair,s_L", INVERSION_CASES, ids=[c[0] for c in INVERSION_CASES])
+def test_evaluate_agrees_with_bisection_on_the_exact_slope(name, pair, s_L):
+    fan = rm.solve(rm.RiemannProblem(s_L, 1.0 - s_L, pair))
+    rarefactions = [w for w in fan.waves if isinstance(w, rm.Rarefaction)]
+    assert rarefactions
+    for w in rarefactions:
+        xis = [w.speed_lo, w.speed_hi, *np.linspace(w.speed_lo, w.speed_hi, 23)[1:-1].tolist()]
+        if 1.0 in (w.left_state, w.right_state):  # the flat end, f'(1) = 0
+            xis += [w.speed_lo + d for d in (1e-12, 1e-9, 1e-6, 1e-3)]
+        for xi in xis:
+            assert abs(rm.evaluate(fan, xi) - bisection_profile(fan, xi)) <= rm.INVERT_TOL, xi
+
+
+def test_inversion_cases_cover_clipped_endpoint_speeds():
+    clipped = [name for name, pair, s_L in INVERSION_CASES
+               if any(_clipped_end(pair, w.left_state) or _clipped_end(pair, w.right_state)
+                      for w in rm.solve(rm.RiemannProblem(s_L, 1.0 - s_L, pair)).waves
+                      if isinstance(w, rm.Rarefaction))]
+    assert len(clipped) >= 4, clipped
+
+
+def test_evaluate_on_a_raw_flux_expression_agrees_with_bisection():
+    fan = rm.solve(rm.RiemannProblem(0.0, 1.0, ff.parse(CE3_FLUX)))
+    for x in np.linspace(-0.2, 3.0, 101).tolist():
+        assert abs(rm.evaluate(fan, x) - bisection_profile(fan, x)) <= rm.INVERT_TOL, x
+
+
+def test_curve_without_an_array_program_is_inverted_by_bisection():
+    class SlopeOnly:
+        def __init__(self, curve):
+            self.value, self.deriv = curve.value, curve.deriv
+
+    pair = ff.ModelPair(ff.corey_a(), ff.corey_b())
+    fan = rm.solve(rm.RiemannProblem(1.0, 0.0, SlopeOnly(rm.PairFlux(pair))))
+    for x in np.linspace(0.0, 2.0, 41).tolist():
+        assert rm.evaluate(fan, x) == bisection_profile(fan, x)
+
+
+def test_slope_table_is_private_to_the_fan():
+    pair = quadratic_pair()
+    fan = rm.solve(rm.RiemannProblem(1.0, 0.0, pair))
+    text, twin = repr(fan), rm.WaveFan(fan.s_left, fan.s_right, list(fan.waves), fan.flux)
+    w = next(w for w in fan.waves if isinstance(w, rm.Rarefaction))
+    rm.evaluate(fan, 0.5 * (w.speed_lo + w.speed_hi))
+    assert fan._tables and not twin._tables
+    assert repr(fan) == text
+    assert fan == twin
+
+
+# -- sampled hull -------------------------------------------------------------
+
+def plain_lower_hull(xs, ys):
+    """Andrew's monotone chain over every sample."""
+    hull = []
+    for i in range(len(xs)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            if (xs[a] - xs[o]) * (ys[i] - ys[o]) - (ys[a] - ys[o]) * (xs[i] - xs[o]) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+HULL_CASES = [
+    ("corey", ff.ModelPair(ff.corey_a(), ff.corey_b()), 0.0, 1.0),
+    *[(f"CE{k}", ff.ModelPair(m, m), 0.0, 1.0)
+      for k, m in enumerate(ff.models.parse(t) for t in ff.models.COUNTEREXAMPLES)],
+    ("chierici", ff.ModelPair(ff.chierici(1.0, 3.0, 1.0), ff.chierici(1.0, 3.0, 1.0)), 0.0, 1.0),
+    # flat stretch where the prefiltered chain drops one collinear vertex
+    ("chierici flat", ff.ModelPair(ff.parse("exp(-6.4263*((1 - s)/s))"),
+                                   ff.parse("exp(-2.3092*((1 - s)/s))")), 0.0, 0.1834),
+]
+
+
+@pytest.mark.parametrize("name,pair,a,b", HULL_CASES, ids=[c[0] for c in HULL_CASES])
+@pytest.mark.parametrize("orientation", ["convex_lower", "concave_upper"])
+def test_prefiltered_hull_matches_the_plain_chain(name, pair, a, b, orientation, monkeypatch):
+    sign = 1.0 if orientation == "convex_lower" else -1.0
+    xs = np.linspace(a, b, rm.DEFAULT_SAMPLES + 1)
+    ys = sign * ff.f_value(pair, xs)
+    if rm._lower_hull_indices(xs, ys) == plain_lower_hull(xs, ys):
+        return
+    pieces = rm.envelope(pair, a, b, orientation)
+    monkeypatch.setattr(rm, "_lower_hull_indices", plain_lower_hull)
+    assert rm.envelope(pair, a, b, orientation) == pieces
+
+
+def test_prefiltered_hull_keeps_every_vertex_of_small_inputs():
+    assert rm._lower_hull_indices(np.array([0.0]), np.array([1.0])) == [0]
+    assert rm._lower_hull_indices(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == [0, 1]
+    xs = np.linspace(0.0, 1.0, 9)
+    for ys in (xs ** 2, -xs ** 2, np.sin(7 * xs), np.zeros_like(xs)):
+        assert rm._lower_hull_indices(xs, ys) == plain_lower_hull(xs, ys)
+
+
+# -- finite-volume oracle -------------------------------------------------------
+
+def engquist_osher(pair, s_L, s_R, x_lo, x_hi, n_cells, t_end=1.0):
+    """Cell centres and averages at t_end of the first-order Engquist-Osher
+    scheme (LeVeque 2002, ch. 16) for Riemann data jumping at x = 0.  The
+    numerical flux f+(u_left) + f-(u_right) uses cumulative integrals of the
+    positive and negative parts of f', tabulated once."""
+    grid = np.linspace(0.0, 1.0, 8193)
+    slope = f_taylor(pair, np.clip(grid, 1e-9, 1.0 - 1e-9), 1)[1]
+
+    def integral(v):
+        return np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(grid))))
+
+    f_plus, f_minus = integral(np.maximum(slope, 0.0)), integral(np.minimum(slope, 0.0))
+    dx = (x_hi - x_lo) / n_cells
+    x = x_lo + dx * (np.arange(n_cells) + 0.5)
+    u = np.where(x < 0.0, s_L, s_R)
+    steps = int(np.ceil(t_end * np.max(np.abs(slope)) / (0.9 * dx)))
+    for _ in range(steps):
+        ghost = np.concatenate(([u[0]], u, [u[-1]]))
+        flux = np.interp(ghost[:-1], grid, f_plus) + np.interp(ghost[1:], grid, f_minus)
+        u = u - (t_end / steps) / dx * np.diff(flux)
+    return x, u
+
+
+def _fv_cases():
+    rng = np.random.default_rng(31)
+    seeded = [(f"seeded {k}", ff.ModelPair(draw_member(rng), draw_member(rng)),
+               *(float(v) for v in rng.uniform(0.0, 1.0, 2))) for k in range(3)]
+    ce3 = ff.models.parse(ff.models.COUNTEREXAMPLES[2])
+    return [("corey 1->0", ff.ModelPair(ff.corey_a(), ff.corey_b()), 1.0, 0.0),
+            ("CE3 0->1", ff.ModelPair(ce3, ce3), 0.0, 1.0)] + seeded
+
+
+FV_CASES = _fv_cases()
+
+
+@pytest.mark.parametrize("name,pair,s_L,s_R", FV_CASES, ids=[c[0] for c in FV_CASES])
+def test_profile_is_the_limit_of_a_monotone_finite_volume_scheme(name, pair, s_L, s_R):
+    fan = rm.solve(rm.RiemannProblem(s_L, s_R, pair))
+    speeds = [v for lo_hi in _fan_speed_list(fan) for v in lo_hi]
+    x_lo, x_hi = min(min(speeds) - 0.5, -0.5), max(speeds) + 0.5
+    errors = []
+    for n_cells in (400, 1600):
+        x, u = engquist_osher(pair, s_L, s_R, x_lo, x_hi, n_cells)
+        exact = np.array([rm.evaluate(fan, xi) for xi in x.tolist()])
+        errors.append(float(np.sum(np.abs(u - exact)) * (x_hi - x_lo) / n_cells))
+    # first-order monotone schemes converge at least like dx^(1/2) in L1
+    # (Kuznetsov); a profile off the entropy solution would stall instead
+    assert errors[1] < 0.6 * errors[0], errors
+    assert errors[1] < 0.005, errors
