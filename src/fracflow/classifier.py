@@ -180,8 +180,8 @@ def monotonicity_change_of_ratio(
 
     which is one of "m2/m" (m''/m), "m2/m1" (m''/m'), "m1/m" (m'/m).  Sign
     changes of the ratio's derivative are bracketed on the clipped grid and
-    refined by bisection to an interval below tol.  Returns an empty list
-    when the ratio is monotone on the grid.
+    refined to an interval below tol.  Returns an empty list when the ratio
+    is monotone on the grid.
     """
     if which not in _RATIOS:
         raise ValueError(f"which must be one of {sorted(_RATIOS)}, got {which!r}")
@@ -199,7 +199,7 @@ def monotonicity_change_of_ratio(
 def sign_changes(s, values, func, tol, zero_tol: float = ZERO_TOL):
     """Bracket every transversal sign change of sampled values and refine.
 
-    func is the scalar evaluator used by bisection.  Returns a list of
+    func is the scalar evaluator used by the refinement.  Returns a list of
     (root, direction) with direction "-+" or "+-".  Runs of near-zero
     samples are skipped over: a sign change across such a run is still one
     transversal crossing, a same-sign run is not a crossing at all.
@@ -213,22 +213,55 @@ def sign_changes(s, values, func, tol, zero_tol: float = ZERO_TOL):
     # consecutive nonzero samples of opposite sign bracket a crossing
     for k in np.flatnonzero(sgn[nz[:-1]] != sgn[nz[1:]]):
         i, jdx = nz[k], nz[k + 1]
-        root = _bisect_sign_change(func, float(s[i]), float(s[jdx]), tol, float(values[i]))
+        root = _bisect_sign_change(func, float(s[i]), float(s[jdx]), tol,
+                                   float(values[i]), float(values[jdx]))
         out.append((root, "-+" if sgn[i] < 0 else "+-"))
     return out
 
 
-def _bisect_sign_change(func, lo, hi, tol, f_lo=None):
-    """Bisect a sign change of func on [lo, hi] to an interval below tol.
+def _bisect_sign_change(func, lo, hi, tol, f_lo=None, f_hi=None):
+    """Refine a sign change of func on [lo, hi] to a bracket below tol and
+    return its midpoint, or a point where func is exactly zero.
 
-    f_lo is func(lo) when the caller has it; otherwise it is evaluated here
-    and lo is returned when it is a root.  A midpoint where func is exactly
-    zero is returned at once.
+    f_lo and f_hi are func(lo) and func(hi) when the caller has them; an end
+    where func is exactly zero is returned.  While the end values have
+    strict opposite signs, Illinois regula falsi steps: the end kept twice in
+    a row has its value halved, and a step that would land within tol/2 of
+    an end probes at tol/2 from it instead, which closes the bracket when the
+    root lies that close (Dekker's safeguard).  Bisection finishes the
+    bracket after ceil(log2((hi-lo)/tol)) such steps, so no input costs more
+    than about twice bisection, and does all of it when the end values do
+    not confirm a sign change.
     """
     if f_lo is None:
         f_lo = func(lo)
-        if f_lo == 0.0:
-            return lo
+    if f_lo == 0.0:
+        return lo
+    if f_hi is None:
+        f_hi = func(hi)
+    if f_hi == 0.0:
+        return hi
+    strict = hi - lo > tol and (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo)
+    steps = math.ceil(math.log2((hi - lo) / tol)) if strict else 0
+    half = 0.5 * tol
+    kept = 0  # end kept by the last step: -1 for lo, 1 for hi
+    while steps > 0 and hi - lo > tol:
+        steps -= 1
+        # a NaN step (from a NaN value) lands at lo + tol/2
+        t = min(hi - half, max(lo + half, float(hi - f_hi * (hi - lo) / (f_hi - f_lo))))
+        f_t = func(t)
+        if f_t == 0.0:
+            return t
+        if (f_t > 0.0) == (f_lo > 0.0):
+            lo, f_lo = t, f_t
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = t, f_t
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         f_mid = func(mid)

@@ -141,9 +141,9 @@ def inflection_points(
 ) -> FluxAnalysis:
     """Locate every transversal sign change of f'' on the clipped grid.
 
-    Each bracketed sign change is refined by bisection to an interval
-    below tol.  Grid points where |f''| < ZERO_TOL without an adjacent
-    sign change are reported as tangency warnings, not inflections.  The
+    Each bracketed sign change is refined to an interval below tol.  Grid
+    points where |f''| < ZERO_TOL farther than two grid spacings from every
+    inflection are reported as tangency warnings, not inflections.  The
     S-shaped verdict is exactly "one inflection"; f3_at_half is populated
     for symmetric pairs (identical expressions).
     """
@@ -155,15 +155,7 @@ def inflection_points(
     func = lambda t: float(f_taylor(pair, t, 2)[2])
     found = sign_changes(s, y, func, tol)
     inflections = [Inflection(root, direction) for root, direction in found]
-
-    # near-zero samples not adjacent to a crossing are tangency suspects
-    warnings_list: list[float] = []
-    near_zero = np.flatnonzero(np.abs(y) < ZERO_TOL)
-    roots = np.array([i.s for i in inflections])
-    spacing = s[1] - s[0]
-    for i in near_zero:
-        if roots.size == 0 or np.min(np.abs(roots - s[i])) > 2.0 * spacing:
-            warnings_list.append(float(s[i]))
+    roots = np.array([root for root, _ in found])
 
     f3_half = None
     if pair.m_a == pair.m_b:
@@ -175,8 +167,16 @@ def inflection_points(
         s2=find_s2(pair, eps=eps),
         s_shaped=len(inflections) == 1,
         f3_at_half=f3_half,
-        tangency_warnings=warnings_list,
+        tangency_warnings=_tangency_suspects(s, y, roots, 2.0 * (s[1] - s[0])),
     )
+
+
+def _tangency_suspects(s, y, roots, reach) -> list[float]:
+    """Samples s where |y| < ZERO_TOL farther than reach from every root."""
+    near = s[np.abs(y) < ZERO_TOL]
+    if roots.size:
+        near = near[np.min(np.abs(roots[:, None] - near), axis=0) > reach]
+    return near.tolist()
 
 
 def analysis_to_text(analysis: FluxAnalysis) -> str:

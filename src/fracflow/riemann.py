@@ -17,11 +17,11 @@ never a strict hull vertex.
 Inside a rarefaction the profile inverts f'(s) = xi.  The first inversion
 in a wave tabulates f' at _TABLE_N points of the arc with one array
 program, and the table is cached on the fan.  Each xi takes its bracket
-from the table's sign change and refines it by Illinois regula falsi on the
-scalar f', with a probe at tol/2 that closes the bracket once a step lands
-next to one of its ends.  Like bisection, the result lies within tol of a
-sign change of f' - xi; where the table and the scalar f' disagree, plain
-bisection over the whole arc is used.
+from the table's sign change and refines it on the scalar f' with the
+bracket solver shared with the classifier; the result lies within tol of a
+sign change of f' - xi.  Where the table and the scalar f' disagree, the
+solver runs over the whole arc.  At its two end speeds a rarefaction
+returns its end states, which are exact roots.
 """
 
 from __future__ import annotations
@@ -230,9 +230,10 @@ def envelope(flux, a: float, b: float, orientation: str,
         lo = max(a, t0 - h)
         hi = min(b, t0 + h)
         g = lambda t: deriv(t) - slope
-        if g(lo) * g(hi) > 0.0:
+        g_lo, g_hi = g(lo), g(hi)
+        if g_lo * g_hi > 0.0:
             return t0
-        return _bisect(g, lo, hi, refine_tol)
+        return _bisect(g, lo, hi, refine_tol, g_lo, g_hi)
 
     # per-chord tangency refinement: ends interior to [a, b] slide to where
     # f' equals the chord slope; the slope is re-derived each pass
@@ -313,7 +314,11 @@ def evaluate(fan: WaveFan, xi: float, tol: float = INVERT_TOL) -> float:
         else:
             if xi < w.speed_lo:
                 return state
-            if xi <= w.speed_hi:
+            if xi == w.speed_lo:
+                return w.left_state
+            if xi == w.speed_hi:
+                return w.right_state
+            if xi < w.speed_hi:
                 return _invert(fan, k, xi, tol)
         state = w.right_state
     return state
@@ -321,9 +326,8 @@ def evaluate(fan: WaveFan, xi: float, tol: float = INVERT_TOL) -> float:
 
 def _invert(fan: WaveFan, k: int, xi: float, tol: float) -> float:
     """s on rarefaction k with f'(s) = xi: bracketed by the wave's f' table,
-    refined by regula falsi on the scalar f'.  Bisection over the whole arc
-    when the table has no sign change, or the scalar f' is zero at a bracket
-    end or does not confirm the change."""
+    refined on the scalar f'.  The whole arc is the bracket when the table
+    has no sign change, or the scalar f' does not confirm a strict one."""
     w = fan.waves[k]
     lo, hi = min(w.left_state, w.right_state), max(w.left_state, w.right_state)
     g = lambda t: fan.flux.deriv(t) - xi
@@ -337,7 +341,7 @@ def _invert(fan: WaveFan, k: int, xi: float, tol: float) -> float:
             a, b = float(ts[hits[0]]), float(ts[hits[0] + 1])
             g_a, g_b = g(a), g(b)
             if g_a < 0.0 < g_b or g_b < 0.0 < g_a:
-                return _regula_falsi(g, a, b, g_a, g_b, tol)
+                return _bisect(g, a, b, tol, g_a, g_b)
     return _bisect(g, lo, hi, tol)
 
 
@@ -354,34 +358,6 @@ def _slope_table(curve, lo: float, hi: float):
     except DomainError:
         return ts, None
     return ts, (ds if np.all(np.isfinite(ds)) else None)
-
-
-def _regula_falsi(g, a: float, b: float, g_a: float, g_b: float, tol: float) -> float:
-    """Illinois regula falsi on a sign change of g in [a, b] (g_a and g_b of
-    opposite signs) down to a bracket below tol; returns its midpoint.
-
-    The end kept twice in a row has its value halved.  A step that would land
-    within tol/2 of an end probes at tol/2 from it instead, which closes the
-    bracket when the root lies that close (Dekker's safeguard).
-    """
-    half = 0.5 * tol
-    kept = 0  # end kept by the last step: -1 for a, 1 for b
-    while b - a > tol:
-        t = min(max(b - g_b * (b - a) / (g_b - g_a), a + half), b - half)
-        g_t = g(t)
-        if g_t == 0.0:
-            return t
-        if (g_t > 0.0) == (g_a > 0.0):
-            a, g_a = t, g_t
-            if kept == 1:
-                g_b *= 0.5
-            kept = 1
-        else:
-            b, g_b = t, g_t
-            if kept == -1:
-                g_a *= 0.5
-            kept = -1
-    return 0.5 * (a + b)
 
 
 def fan_to_text(fan: WaveFan) -> str:

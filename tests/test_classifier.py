@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import fracflow as ff
-from fracflow.classifier import check_conditions, report_to_dict, report_to_text
+from fracflow.classifier import _bisect_sign_change, check_conditions, report_to_dict, report_to_text
+from fracflow.flux import f_taylor
 
 from conftest import draw_c4star_candidate, rel_close
 
@@ -176,3 +178,100 @@ def test_report_serialization_mirrors_fields():
     assert set(d) >= {"c1", "c2", "c3", "c4", "c4star", "in_class_M", "witnesses", "criterion_T3"}
     text = report_to_text(r)
     assert "in_class_M: true" in text
+
+
+# -- the bracket solver ------------------------------------------------------
+
+def _counted(func):
+    calls = []
+
+    def wrapped(t):
+        calls.append(t)
+        return func(t)
+    return wrapped, calls
+
+
+def _flat(t):
+    # exp(-1/t^2) with the sign of t: every derivative vanishes at 0, and
+    # the value underflows to an exact 0 for |t| < ~0.037
+    return math.copysign(math.exp(-1.0 / (t * t)), t) if abs(t) > 0.01 else 0.0
+
+
+BRACKET_FUNCTIONS = {
+    "linear": lambda t: t,
+    "cubic": lambda t: t ** 3,
+    "power 11": lambda t: t ** 11,
+    "signed cube root": lambda t: math.copysign(abs(t) ** (1.0 / 3.0), t),
+    "steep tanh": lambda t: math.tanh(1e6 * t),
+    "exp(-1/t^2) flat": _flat,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BRACKET_FUNCTIONS)),
+    lo=st.floats(-2.0, 1.0),
+    width=st.floats(1e-8, 3.0),
+    where=st.floats(0.0, 1.0),
+    negate=st.booleans(),
+    tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+)
+def test_bracket_solver_finds_the_sign_change_within_twice_the_bisection_budget(
+    name, lo, width, where, negate, tol
+):
+    assume(width > 10.0 * tol)
+    hi = lo + width
+    r = lo + where * width
+    shape = BRACKET_FUNCTIONS[name]
+    func, calls = _counted(lambda t: -shape(t - r) if negate else shape(t - r))
+    root = _bisect_sign_change(func, lo, hi, tol)
+    assert len(calls) <= 2 * math.ceil(math.log2(width / tol)) + 3
+    assert lo <= root <= hi
+    assert abs(root - r) <= tol or func(root) == 0.0, (root, r)
+
+
+def test_bracket_solver_is_capped_on_a_high_order_root():
+    # pure Illinois regula falsi creeps on (t - 0.3)^11; the step budget
+    # hands the bracket to bisection
+    func, calls = _counted(lambda t: (t - 0.3) ** 11)
+    root = _bisect_sign_change(func, 0.0, 1.0, 1e-12)
+    assert len(calls) <= 2 * math.ceil(math.log2(1e12)) + 3
+    assert abs(root - 0.3) <= 1e-12 or func(root) == 0.0
+
+
+def test_bracket_solver_without_a_sign_change_bisects_toward_hi():
+    func, calls = _counted(lambda t: 1.0 + t)
+    root = _bisect_sign_change(func, 0.0, 1.0, 1e-6)
+    assert 1.0 - 1e-6 <= root <= 1.0
+    assert len(calls) == 2 + math.ceil(math.log2(1e6))
+
+
+def test_bracket_solver_returns_an_exact_zero_at_an_end():
+    assert _bisect_sign_change(lambda t: t - 1.0, 0.0, 1.0, 1e-12) == 1.0
+    assert _bisect_sign_change(lambda t: t, 0.0, 1.0, 1e-12) == 0.0
+    assert _bisect_sign_change(lambda t: 1.0 / 0.0, 0.0, 1.0, 1e-12, 0.0, -1.0) == 0.0
+
+
+def test_bracket_solver_survives_a_nan_inside_the_bracket():
+    # the first secant step lands at 0.7, inside the NaN stretch
+    func, calls = _counted(lambda t: float("nan") if 0.65 < t < 0.75 else t - 0.7)
+    root = _bisect_sign_change(func, 0.0, 1.0, 1e-12)
+    assert calls[2] == pytest.approx(0.7)
+    assert 0.0 <= root <= 1.0
+    assert len(calls) <= 2 * math.ceil(math.log2(1e12)) + 3
+
+
+@pytest.mark.parametrize("name,count", [("counterexample_1", 3), ("counterexample_2", 3), ("counterexample_3", 5)])
+def test_counterexample_brackets_take_at_most_eight_evaluations(name, count):
+    m = ff.catalog()[name]
+    pair = ff.ModelPair(m, m)
+    s = np.linspace(1e-6, 1.0 - 1e-6, 8192)
+    y = np.asarray(f_taylor(pair, s, 2)[2], dtype=float)
+    f2 = lambda t: float(f_taylor(pair, t, 2)[2])
+    brackets = np.flatnonzero(np.sign(y[:-1]) * np.sign(y[1:]) < 0)
+    assert len(brackets) == count
+    for i in brackets:
+        func, calls = _counted(f2)
+        root = _bisect_sign_change(func, float(s[i]), float(s[i + 1]), 1e-12, float(y[i]), float(y[i + 1]))
+        assert len(calls) <= 8, (i, len(calls))
+        assert f2(root) == 0.0 or f2(root - 1e-12) * f2(root + 1e-12) < 0.0, root

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.flux import f2_closed, f_jet, f_value, find_s1, find_s2, inflection_points
+from fracflow.flux import (
+    DEFAULT_EPS, DEFAULT_GRID_N, ZERO_TOL, _tangency_suspects, f2_closed, f_jet, f_taylor, f_value,
+    find_s1, find_s2, inflection_points,
+)
 
 from conftest import draw_member, rel_close
 
@@ -209,3 +212,40 @@ def test_zero_total_mobility_raises():
     pair = ff.ModelPair(ff.parse("s - s"), ff.parse("s - s"))
     with pytest.raises(ff.DomainError, match="total mobility"):
         f_jet(pair, 0.5)
+
+
+# -- tangency suspects ---------------------------------------------------------
+
+def reference_suspects(s, y, roots):
+    """The tangency-suspect scan as a per-sample loop."""
+    spacing = s[1] - s[0]
+    out = []
+    for i in np.flatnonzero(np.abs(y) < ZERO_TOL):
+        if roots.size == 0 or np.min(np.abs(roots - s[i])) > 2.0 * spacing:
+            out.append(float(s[i]))
+    return out
+
+
+@pytest.mark.parametrize("m, near_zero", [(ff.chierici(1, 8, 1), 1000), (ff.parse("6.2771*s^7.5624"), 38)])
+def test_tangency_warnings_equal_the_per_sample_scan(m, near_zero):
+    pair = ff.ModelPair(m, m)
+    analysis = inflection_points(pair)
+    s = np.linspace(DEFAULT_EPS, 1.0 - DEFAULT_EPS, DEFAULT_GRID_N)
+    y = np.asarray(f_taylor(pair, s, 2)[2], dtype=float)
+    roots = np.array([i.s for i in analysis.inflections])
+    assert len(analysis.tangency_warnings) >= near_zero
+    assert analysis.tangency_warnings == reference_suspects(s, y, roots)
+
+
+def test_tangency_suspects_skip_near_zero_samples_next_to_a_root():
+    # dyadic grid: the sample at 0.25 lies exactly two spacings from the root
+    # 0.5 and is not a suspect, the one at 0.125 is
+    s = np.linspace(0.0, 1.0, 9)
+    y = np.ones(9)
+    y[[1, 2, 4, 5, 8]] = 0.0
+    spacing = s[1] - s[0]
+    for roots in (np.array([0.5]), np.array([0.5, 0.9]), np.array([])):
+        expected = reference_suspects(s, y, roots)
+        assert _tangency_suspects(s, y, roots, 2.0 * spacing) == expected
+    assert reference_suspects(s, y, np.array([0.5])) == [0.125, 1.0]
+    assert reference_suspects(s, y, np.array([])) == [0.125, 0.25, 0.5, 0.625, 1.0]

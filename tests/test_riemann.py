@@ -250,8 +250,27 @@ def test_concave_envelope_is_the_convex_envelope_of_the_negated_flux(text, a, b)
 
 # -- rarefaction inversion ---------------------------------------------------
 
+def plain_bisection(g, lo, hi, tol):
+    """Bisection on a sign change of g in [lo, hi], independent of fracflow's
+    bracket solver."""
+    g_lo = g(lo)
+    if g_lo == 0.0:
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def bisection_profile(fan, xi):
-    """evaluate() as plain bisection on f' - xi over each whole arc."""
+    """evaluate() as plain bisection on f' - xi over each whole arc, with the
+    end states at the end speeds."""
     state = fan.s_left
     for w in fan.waves:
         if isinstance(w, rm.Shock):
@@ -260,9 +279,13 @@ def bisection_profile(fan, xi):
         else:
             if xi < w.speed_lo:
                 return state
-            if xi <= w.speed_hi:
+            if xi == w.speed_lo:
+                return w.left_state
+            if xi == w.speed_hi:
+                return w.right_state
+            if xi < w.speed_hi:
                 lo, hi = sorted((w.left_state, w.right_state))
-                return rm._bisect(lambda t: fan.flux.deriv(t) - xi, lo, hi, rm.INVERT_TOL)
+                return plain_bisection(lambda t: fan.flux.deriv(t) - xi, lo, hi, rm.INVERT_TOL)
         state = w.right_state
     return state
 
@@ -295,6 +318,22 @@ def test_evaluate_agrees_with_bisection_on_the_exact_slope(name, pair, s_L):
             assert abs(rm.evaluate(fan, xi) - bisection_profile(fan, xi)) <= rm.INVERT_TOL, xi
 
 
+@pytest.mark.parametrize("name,pair,s_L", INVERSION_CASES, ids=[c[0] for c in INVERSION_CASES])
+def test_evaluate_returns_the_end_states_at_the_end_speeds(name, pair, s_L):
+    # speed_lo = f'(left_state) and speed_hi = f'(right_state), so the end
+    # states are exact roots and need no search; a flat end (f' underflowing
+    # to 0 over a stretch) could otherwise resolve to an interior point of it
+    fan = rm.solve(rm.RiemannProblem(s_L, 1.0 - s_L, pair))
+    calls = []
+    deriv = fan.flux.deriv
+    fan.flux.deriv = lambda t: calls.append(t) or deriv(t)
+    for w in fan.waves:
+        if isinstance(w, rm.Rarefaction):
+            assert rm.evaluate(fan, w.speed_lo) == w.left_state
+            assert rm.evaluate(fan, w.speed_hi) == w.right_state
+    assert not calls
+
+
 def test_inversion_cases_cover_clipped_endpoint_speeds():
     clipped = [name for name, pair, s_L in INVERSION_CASES
                if any(_clipped_end(pair, w.left_state) or _clipped_end(pair, w.right_state)
@@ -317,7 +356,7 @@ def test_curve_without_an_array_program_is_inverted_by_bisection():
     pair = ff.ModelPair(ff.corey_a(), ff.corey_b())
     fan = rm.solve(rm.RiemannProblem(1.0, 0.0, SlopeOnly(rm.PairFlux(pair))))
     for x in np.linspace(0.0, 2.0, 41).tolist():
-        assert rm.evaluate(fan, x) == bisection_profile(fan, x)
+        assert abs(rm.evaluate(fan, x) - bisection_profile(fan, x)) <= rm.INVERT_TOL, x
 
 
 def test_slope_table_is_private_to_the_fan():
