@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .jet import DomainError
+from .jet import DomainError, point
 from .models import ModelExpr
 
 ZERO_TOL = 1e-13
@@ -202,8 +202,12 @@ def sign_changes(s, values, func, tol, zero_tol: float = ZERO_TOL):
     func is the scalar evaluator used by the refinement.  Returns a list of
     (root, direction) with direction "-+" or "+-".  Runs of near-zero
     samples are skipped over: a sign change across such a run is still one
-    transversal crossing, a same-sign run is not a crossing at all.
+    transversal crossing, a same-sign run is not a crossing at all.  A tol
+    that is not positive raises ValueError, a non-finite sample DomainError.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    _require_finite(s, values, "sample")
     sgn = np.zeros(len(values), dtype=int)
     sgn[values > zero_tol] = 1
     sgn[values < -zero_tol] = -1
@@ -217,6 +221,13 @@ def sign_changes(s, values, func, tol, zero_tol: float = ZERO_TOL):
                                    float(values[i]), float(values[jdx]))
         out.append((root, "-+" if sgn[i] < 0 else "+-"))
     return out
+
+
+def _require_finite(s, values, what: str) -> None:
+    """Raise DomainError at the first non-finite entry of values sampled at s."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DomainError(f"non-finite {what} at {point(s, int(bad[0]))}", int(bad[0]))
 
 
 def _bisect_sign_change(func, lo, hi, tol, f_lo=None, f_hi=None):

@@ -14,19 +14,18 @@ interior sample that is not locally convex (cross product with its two
 neighbours <= 0): such a point lies on or above its neighbours' chord and is
 never a strict hull vertex.
 
-Inside a rarefaction the profile inverts f'(s) = xi.  The first inversion
-in a wave tabulates f' at _TABLE_N points of the arc with one array
-program, and the table is cached on the fan.  Each xi takes its bracket
-from the table's sign change and refines it on the scalar f' with the
-bracket solver shared with the classifier; the result lies within tol of a
-sign change of f' - xi.  Where the table and the scalar f' disagree, the
-solver runs over the whole arc.  At its two end speeds a rarefaction
-returns its end states, which are exact roots.
+Inside a rarefaction the profile inverts f'(s) = xi over the whole arc with
+the bracket solver shared with the classifier.  The arc's end values of
+f' - xi are the wave's end speeds minus xi, so the solver starts from them
+without evaluating f' again, and the result lies within INVERT_TOL of a
+sign change of f' - xi.  At its two end speeds a rarefaction returns its
+end states, which are exact roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import partial
 from typing import Union
 
@@ -34,16 +33,15 @@ import numpy as np
 
 from .jet import DomainError
 from .models import ModelExpr, ModelPair
-from .classifier import _bisect_sign_change as _bisect  # perfbench/spans.py times it under this name
+from .classifier import _require_finite, _bisect_sign_change as _bisect  # perfbench/spans.py times _bisect
 from .flux import f_jet, f_taylor, f_value  # noqa: F401  (perfbench/spans.py wraps f_jet here)
 
 DEFAULT_SAMPLES = 4096
-# tangency refinement: the construction needs at least 1e-10; the default is
+# tangency refinement: the construction needs at least 1e-10; this is
 # tighter so that adjacent rarefaction and shock speeds agree to ~|f''|*width
 REFINE_TOL = 1e-12
 INVERT_TOL = 1e-10
 _CLIP = 1e-9  # fallback clip for derivative evaluation at the domain ends
-_TABLE_N = 65  # f' samples per rarefaction that bracket its inversions
 
 
 class PairFlux:
@@ -143,8 +141,6 @@ class WaveFan:
     s_right: float
     waves: list[Wave]
     flux: object  # curve used for rarefaction inversion
-    # per rarefaction index: (points, f' there or None), built on first inversion
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
@@ -169,14 +165,14 @@ def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     return index[hull].tolist()
 
 
-def envelope(flux, a: float, b: float, orientation: str,
-             n_samples: int = DEFAULT_SAMPLES, refine_tol: float = REFINE_TOL):
+def envelope(flux, a: float, b: float, orientation: str):
     """Lower convex or upper concave envelope of the flux on [a, b].
 
     Returns a contiguous, s-ordered list of ContactArc and Chord pieces
     tiling [a, b].  orientation is "convex_lower" or "concave_upper"; the
     upper concave envelope of f is the lower convex envelope of -f, so the
-    construction runs on sign*f with sign = -1 for it.
+    construction runs on sign*f with sign = -1 for it.  A flux sample that
+    is not finite raises DomainError.
     """
     if orientation not in ("convex_lower", "concave_upper"):
         raise ValueError(f"unknown orientation {orientation!r}")
@@ -189,22 +185,12 @@ def envelope(flux, a: float, b: float, orientation: str,
     value = lambda t: sign * curve.value(t)
     deriv = lambda t: sign * curve.deriv(t)
 
-    n = max(int(n_samples), 1024)
-    xs = np.linspace(a, b, n + 1)
+    xs = np.linspace(a, b, DEFAULT_SAMPLES + 1)
     ys = np.asarray(value(xs), dtype=float)
+    _require_finite(xs, ys, "flux value")
     hull = _lower_hull_indices(xs, ys)
 
-    # classify hull edges, merging runs of adjacent-sample edges into arcs
-    raw: list[tuple[str, float, float]] = []
-    for k in range(len(hull) - 1):
-        i, j = hull[k], hull[k + 1]
-        kind = "arc" if j == i + 1 else "chord"
-        if raw and raw[-1][0] == "arc" and kind == "arc":
-            raw[-1] = ("arc", raw[-1][1], float(xs[j]))
-        else:
-            raw.append((kind, float(xs[i]), float(xs[j])))
-
-    # a "chord" that never leaves the curve by more than value resolution is
+    # a chord that never leaves the curve by more than value resolution is
     # contact structure from flat (e.g. underflowed) stretches, not a shock
     dev_tol = 1e-12 * max(1.0, float(np.max(np.abs(ys))))
 
@@ -214,15 +200,16 @@ def envelope(flux, a: float, b: float, orientation: str,
         line = f_lo + (ts - lo) / (hi - lo) * (f_hi - f_lo)
         return float(np.max(np.abs(np.asarray(value(ts)) - line)))
 
-    cleaned: list[tuple[str, float, float]] = []
-    for kind, lo, hi in raw:
-        if kind == "chord" and _chord_deviation(lo, hi) <= dev_tol:
-            kind = "arc"
-        if cleaned and cleaned[-1][0] == "arc" and kind == "arc":
-            cleaned[-1] = ("arc", cleaned[-1][1], hi)
+    # classify hull edges: one joining adjacent samples, or staying within
+    # dev_tol of the curve, is contact; runs of contact edges merge into arcs
+    raw: list[tuple[str, float, float]] = []
+    for i, j in zip(hull, hull[1:]):
+        lo, hi = float(xs[i]), float(xs[j])
+        kind = "arc" if j == i + 1 or _chord_deviation(lo, hi) <= dev_tol else "chord"
+        if kind == "arc" and raw and raw[-1][0] == "arc":
+            raw[-1] = ("arc", raw[-1][1], hi)
         else:
-            cleaned.append((kind, lo, hi))
-    raw = cleaned
+            raw.append((kind, lo, hi))
 
     h = float(xs[1] - xs[0])
 
@@ -233,7 +220,7 @@ def envelope(flux, a: float, b: float, orientation: str,
         g_lo, g_hi = g(lo), g(hi)
         if g_lo * g_hi > 0.0:
             return t0
-        return _bisect(g, lo, hi, refine_tol, g_lo, g_hi)
+        return _bisect(g, lo, hi, REFINE_TOL, g_lo, g_hi)
 
     # per-chord tangency refinement: ends interior to [a, b] slide to where
     # f' equals the chord slope; the slope is re-derived each pass
@@ -275,7 +262,7 @@ def envelope(flux, a: float, b: float, orientation: str,
     return pieces
 
 
-def solve(problem: RiemannProblem, n_samples: int = DEFAULT_SAMPLES) -> WaveFan:
+def solve(problem: RiemannProblem) -> WaveFan:
     """Wave fan of the Riemann problem by the envelope construction."""
     curve = _as_curve(problem.flux)
     s_L, s_R = problem.s_L, problem.s_R
@@ -286,9 +273,9 @@ def solve(problem: RiemannProblem, n_samples: int = DEFAULT_SAMPLES) -> WaveFan:
     # envelope, descend on the upper concave one (pieces taken in reverse)
     ascending = s_L < s_R
     if ascending:
-        pieces = envelope(curve, s_L, s_R, "convex_lower", n_samples)
+        pieces = envelope(curve, s_L, s_R, "convex_lower")
     else:
-        pieces = envelope(curve, s_R, s_L, "concave_upper", n_samples)[::-1]
+        pieces = envelope(curve, s_R, s_L, "concave_upper")[::-1]
     waves: list[Wave] = []
     for p in pieces:
         left, right = (p.s_lo, p.s_hi) if ascending else (p.s_hi, p.s_lo)
@@ -299,15 +286,17 @@ def solve(problem: RiemannProblem, n_samples: int = DEFAULT_SAMPLES) -> WaveFan:
     return WaveFan(s_L, s_R, waves, curve)
 
 
-def evaluate(fan: WaveFan, xi: float, tol: float = INVERT_TOL) -> float:
+def evaluate(fan: WaveFan, xi: float) -> float:
     """Self-similar solution s(xi), xi = x/t.
 
     Constant states outside and between waves; inside a rarefaction the
-    state inverts f'(s) = xi on the (monotone) contact arc, to within tol of
-    a sign change of f' - xi.
+    state inverts f'(s) = xi on the (monotone) contact arc, to within
+    INVERT_TOL of a sign change of f' - xi.  A NaN xi raises ValueError.
     """
+    if math.isnan(xi):
+        raise ValueError("xi must not be NaN")
     state = fan.s_left
-    for k, w in enumerate(fan.waves):
+    for w in fan.waves:
         if isinstance(w, Shock):
             if xi < w.speed:
                 return state
@@ -319,45 +308,12 @@ def evaluate(fan: WaveFan, xi: float, tol: float = INVERT_TOL) -> float:
             if xi == w.speed_hi:
                 return w.right_state
             if xi < w.speed_hi:
-                return _invert(fan, k, xi, tol)
+                # f' - xi at the end states is the end speed minus xi
+                (lo, g_lo), (hi, g_hi) = sorted(((w.left_state, w.speed_lo - xi),
+                                                 (w.right_state, w.speed_hi - xi)))
+                return _bisect(lambda t: fan.flux.deriv(t) - xi, lo, hi, INVERT_TOL, g_lo, g_hi)
         state = w.right_state
     return state
-
-
-def _invert(fan: WaveFan, k: int, xi: float, tol: float) -> float:
-    """s on rarefaction k with f'(s) = xi: bracketed by the wave's f' table,
-    refined on the scalar f'.  The whole arc is the bracket when the table
-    has no sign change, or the scalar f' does not confirm a strict one."""
-    w = fan.waves[k]
-    lo, hi = min(w.left_state, w.right_state), max(w.left_state, w.right_state)
-    g = lambda t: fan.flux.deriv(t) - xi
-    if k not in fan._tables:
-        fan._tables[k] = _slope_table(fan.flux, lo, hi)
-    ts, ds = fan._tables[k]
-    if ds is not None:
-        above = ds > xi
-        hits = np.flatnonzero((above[1:] != above[0]) | (ds[1:] == xi))
-        if hits.size:
-            a, b = float(ts[hits[0]]), float(ts[hits[0] + 1])
-            g_a, g_b = g(a), g(b)
-            if g_a < 0.0 < g_b or g_b < 0.0 < g_a:
-                return _bisect(g, a, b, tol, g_a, g_b)
-    return _bisect(g, lo, hi, tol)
-
-
-def _slope_table(curve, lo: float, hi: float):
-    """(_TABLE_N points spanning [lo, hi], f' there) from one array program,
-    evaluated at the points clipped into [_CLIP, 1 - _CLIP]; f' is None when
-    the curve has no array program or it fails there."""
-    ts = np.linspace(lo, hi, _TABLE_N)
-    taylor = getattr(curve, "_taylor", None)
-    if taylor is None:
-        return ts, None
-    try:
-        ds = taylor(np.clip(ts, _CLIP, 1.0 - _CLIP), 1)[1]
-    except DomainError:
-        return ts, None
-    return ts, (ds if np.all(np.isfinite(ds)) else None)
 
 
 def fan_to_text(fan: WaveFan) -> str:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fracflow as ff
-from fracflow.classifier import _bisect_sign_change, check_conditions, report_to_dict, report_to_text
+from fracflow.classifier import (_bisect_sign_change, check_conditions, report_to_dict, report_to_text,
+                                 sign_changes)
 from fracflow.flux import f_taylor
 
 from conftest import draw_c4star_candidate, rel_close
@@ -126,6 +127,23 @@ def test_precondition_validation():
         check_conditions(ff.power(1, 2), grid_n=50)
     with pytest.raises(ValueError):
         check_conditions(ff.power(1, 2), eps=0.5)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_sign_changes_rejects_a_tol_that_is_not_positive(tol):
+    pair = ff.ModelPair(ff.power(1, 2), ff.power(1, 2))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        ff.inflection_points(pair, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        ff.monotonicity_change_of_ratio(ff.power(1, 2), "m1/m", tol=tol)
+
+
+def test_sign_changes_names_the_first_non_finite_sample():
+    s = np.linspace(0.0, 1.0, 5)
+    values = np.array([-1.0, 1.0, np.inf, np.nan, 1.0])
+    with pytest.raises(ff.DomainError, match=r"non-finite sample at s\[2\]=0.5") as info:
+        sign_changes(s, values, lambda t: t - 0.5, 1e-12)
+    assert info.value.index == 2
 
 
 def test_power_family_admissible():

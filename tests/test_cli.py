@@ -128,6 +128,19 @@ def test_analyze_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_analyze_tol_that_is_not_positive_exits_two(tol, capsys):
+    code, out, err = run(capsys, "analyze", "s^2", "same", "--tol", tol)
+    assert code == 2
+    assert "tol must be positive" in err and not out
+
+
+def test_analyze_non_finite_second_derivative_exits_two(capsys):
+    code, out, err = run(capsys, "analyze", "exp(1000*s)", "same")
+    assert code == 2
+    assert "non-finite sample at s[0]=1e-06" in err and not out
+
+
 def test_figures_manifest_counts(tmp_path, capsys):
     outdir = tmp_path / "figs"
     code, _, _ = run(capsys, "figures", "--out", str(outdir), "--grid", "801")
@@ -218,3 +231,9 @@ def test_riemann_state_out_of_range_exits_two(capsys):
     code, _, err = run(capsys, "riemann", "s^2", "s^2", "1.5", "0")
     assert code == 2
     assert "error" in err
+
+
+def test_riemann_non_finite_flux_exits_two(capsys):
+    code, out, err = run(capsys, "riemann", "exp(1000*s)", "exp(1000*s)", "0", "1")
+    assert code == 2
+    assert "non-finite flux value at s[" in err and not out

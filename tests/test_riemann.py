@@ -225,6 +225,17 @@ def test_problem_state_validation():
         rm.RiemannProblem(0.1, 1.5, ff.parse("s^2"))
 
 
+def test_non_finite_flux_and_nan_xi_are_rejected():
+    pair = ff.ModelPair(ff.parse("exp(1000*s)"), ff.parse("exp(1000*s)"))
+    with pytest.raises(ff.DomainError, match="non-finite flux value") as info:
+        rm.envelope(pair, 0.0, 1.0, "convex_lower")
+    xs = np.linspace(0.0, 1.0, rm.DEFAULT_SAMPLES + 1)
+    assert info.value.index == int(np.flatnonzero(~np.isfinite(ff.f_value(pair, xs)))[0])
+    fan = rm.solve(rm.RiemannProblem(1.0, 0.0, ff.ModelPair(ff.corey_a(), ff.corey_b())))
+    with pytest.raises(ValueError, match="NaN"):
+        rm.evaluate(fan, math.nan)
+
+
 def test_envelope_orientation_validation():
     with pytest.raises(ValueError):
         rm.envelope(ff.parse("s^2"), 0.0, 1.0, "sideways")
@@ -359,15 +370,35 @@ def test_curve_without_an_array_program_is_inverted_by_bisection():
         assert abs(rm.evaluate(fan, x) - bisection_profile(fan, x)) <= rm.INVERT_TOL, x
 
 
-def test_slope_table_is_private_to_the_fan():
+def test_evaluate_leaves_the_fan_unchanged():
     pair = quadratic_pair()
     fan = rm.solve(rm.RiemannProblem(1.0, 0.0, pair))
     text, twin = repr(fan), rm.WaveFan(fan.s_left, fan.s_right, list(fan.waves), fan.flux)
+    fields = set(vars(fan))
     w = next(w for w in fan.waves if isinstance(w, rm.Rarefaction))
     rm.evaluate(fan, 0.5 * (w.speed_lo + w.speed_hi))
-    assert fan._tables and not twin._tables
     assert repr(fan) == text
     assert fan == twin
+    assert set(vars(fan)) == fields
+
+
+@pytest.mark.parametrize("name,pair,s_L", INVERSION_CASES, ids=[c[0] for c in INVERSION_CASES])
+def test_inversion_starts_from_the_end_speeds_and_needs_few_slope_calls(name, pair, s_L):
+    # the end values of f' - xi come from the wave's speeds, so f' is never
+    # evaluated at the end states; the bracket solver needs far fewer calls
+    # per xi than the ~33 of bisection down to INVERT_TOL
+    fan = rm.solve(rm.RiemannProblem(s_L, 1.0 - s_L, pair))
+    calls = []
+    deriv = fan.flux.deriv
+    fan.flux.deriv = lambda t: calls.append(t) or deriv(t)
+    n_xi = 0
+    for w in fan.waves:
+        if isinstance(w, rm.Rarefaction):
+            for xi in np.linspace(w.speed_lo, w.speed_hi, 23)[1:-1].tolist():
+                rm.evaluate(fan, xi)
+                n_xi += 1
+            assert w.left_state not in calls and w.right_state not in calls
+    assert n_xi and len(calls) <= 12 * n_xi, len(calls) / n_xi
 
 
 # -- sampled hull -------------------------------------------------------------
