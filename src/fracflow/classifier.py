@@ -100,6 +100,8 @@ def check_conditions(m: ModelExpr, grid_n: int = 4096, eps: float = 1e-6) -> Con
     m(0) = 0 and m'(0) = 0 are checked at s = eps: the value against
     ENDPOINT_TOL, the slope against ENDPOINT_TOL_SLOPE with a decay-exponent
     fallback for slopes that vanish too slowly to clear a fixed threshold.
+    A condition value that is not finite raises DomainError at the first
+    grid point where one is not finite.
     """
     if grid_n < 100:
         raise ValueError(f"grid_n must be >= 100, got {grid_n}")
@@ -109,15 +111,22 @@ def check_conditions(m: ModelExpr, grid_n: int = 4096, eps: float = 1e-6) -> Con
     s = np.linspace(eps, 1.0 - eps, grid_n)
     j = m.eval_jet(s)
 
-    verdicts: dict[str, str] = {}
-    witnesses: list[Witness] = []
-    for name, values, want_positive in (
+    conditions = (
         ("c1", j.f0, True),
         ("c2", j.f1, True),
         ("c3", j.f2, True),
         ("c4", j.f3 * j.f1 - j.f2 ** 2, False),
         ("c4star_extra", j.f2 * j.f0 - j.f1 ** 2, False),
-    ):
+    )
+    # an overflowed value decides nothing: fail at the first grid point where
+    # a condition value is not finite
+    finite = np.isfinite([values for _, values, _ in conditions])
+    if not finite.all():
+        name, values, _ = conditions[int(finite[:, finite.all(axis=0).argmin()].argmin())]
+        _require_finite(s, values, f"{name} value")
+    verdicts: dict[str, str] = {}
+    witnesses: list[Witness] = []
+    for name, values, want_positive in conditions:
         verdict, wit = _classify(name, s, np.asarray(values, dtype=float), want_positive)
         verdicts[name] = verdict
         witnesses.extend(wit)

@@ -225,7 +225,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # overflow surfaces as a DomainError on the non-finite value, not as
+        # numpy warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ParseError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ import numpy as np
 
 from .jet import DomainError, Jet3, Real, Tape, point
 from .jet import add, div, reflect  # noqa: F401  (perfbench/spans.py counts these here)
-from .models import ModelPair
+from .models import ModelPair, _emit
 from .classifier import sign_changes
 
 DEFAULT_GRID_N = 8192
@@ -46,13 +46,30 @@ class FluxAnalysis:
     tangency_warnings: list[float] = field(default_factory=list)
 
 
+def _flux_rule(tape: Tape, a, b):
+    """f = a / (a + reflect(b)) from the jets a of m_a at s and b of m_b at 1-s."""
+    return tape.div(a, tape.add(a, tape.reflect(b)), "zero total mobility")
+
+
 @lru_cache(maxsize=None)
 def _flux_program(order: int, array: bool):
-    """f = a / (a + reflect(b)) from the jets a of m_a at s and b of m_b at 1-s."""
     tape = Tape(array)
     a = tuple(f"a{j}" for j in range(order + 1))
     b = tuple(f"b{j}" for j in range(order + 1))
-    return tape.build([*a, *b], tape.div(a, tape.add(a, tape.reflect(b)), "zero total mobility"))
+    return tape.build([*a, *b], _flux_rule(tape, a, b))
+
+
+def pair_program(pair: ModelPair, order: int):
+    """Scalar f and its first `order` derivatives at s as one program, cached
+    on the pair: m_a at s, m_b at a local 1 - s, then the flux rule.  Its
+    values are f_taylor's bit for bit; its DomainError does not name the
+    point."""
+    if order not in pair._programs:
+        tape = Tape(False)
+        a = _emit(tape, pair.m_a, "s", order)
+        b = _emit(tape, pair.m_b, tape.let("1.0 - s"), order)
+        pair._programs[order] = tape.build(["s"], _flux_rule(tape, a, b))
+    return pair._programs[order]
 
 
 def f_taylor(pair: ModelPair, s: Real, order: int = 3) -> tuple:

@@ -42,12 +42,24 @@ class ParseError(ValueError):
 # expression tree
 
 
-class ModelExpr:
+class _Compiled:
+    """Straight-line programs (see jet.Tape) cached on the instance."""
+
+    @cached_property
+    def _programs(self) -> dict:
+        return {}
+
+    def __getstate__(self) -> dict:
+        # programs are rebuilt on first use; they cannot be pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_programs"}
+
+
+class ModelExpr(_Compiled):
     """Base class for mobility-expression nodes.
 
-    A tree is compiled on first use into straight-line programs (see
-    jet.Tape), one per derivative order and per scalar or array input, and
-    each program is cached on the node it was compiled for.
+    A tree is compiled on first use into straight-line programs, one per
+    derivative order and per scalar or array input, and each program is
+    cached on the node it was compiled for.
     """
 
     def taylor(self, s: Real, order: int = 3) -> tuple:
@@ -58,9 +70,7 @@ class ModelExpr:
         the order-3 jet, bit for bit.
         """
         key = (order, isinstance(s, np.ndarray))
-        fn = self._programs.get(key)
-        if fn is None:
-            fn = self._programs[key] = _compile(self, *key)
+        fn = self._programs.get(key) or self.program(*key)
         try:
             return fn(s)
         except DomainError as exc:
@@ -74,13 +84,13 @@ class ModelExpr:
         """Value only; cheaper than eval_jet for plain sampling."""
         return self.taylor(s, 0)[0]
 
-    @cached_property
-    def _programs(self) -> dict:
-        return {}
-
-    def __getstate__(self) -> dict:
-        # programs are rebuilt on first use; they cannot be pickled
-        return {k: v for k, v in self.__dict__.items() if k != "_programs"}
+    def program(self, order: int, array: bool):
+        """The program taylor runs: a function of s returning the components,
+        whose DomainError does not name the tree or the point."""
+        key = (order, array)
+        if key not in self._programs:
+            self._programs[key] = _compile(self, order, array)
+        return self._programs[key]
 
     def __str__(self) -> str:
         return _print(self, _PREC_SUM)
@@ -128,33 +138,37 @@ def _compile(expr: ModelExpr, order: int, array: bool):
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}")
     tape = Tape(array)
+    return tape.build(["s"], _emit(tape, expr, "s", order))
 
-    def emit(e: ModelExpr):
-        if isinstance(e, Const):
-            return tape.constant(e.value, "s", order)
-        if isinstance(e, Var):
-            return tape.seed("s", order)
-        if isinstance(e, Sum):
-            return reduce(tape.add, map(emit, e.terms))
-        if isinstance(e, Prod):
-            return reduce(tape.mul, map(emit, e.factors))
-        if isinstance(e, Quot):
-            return tape.div(emit(e.num), emit(e.den))
-        if isinstance(e, Pow):
-            return tape.pow(emit(e.base), e.exponent)
-        if isinstance(e, Exp):
-            return tape.exp(emit(e.arg))
-        raise TypeError(f"unknown node {type(e).__name__}")
 
-    return tape.build(["s"], emit(expr))
+def _emit(tape: Tape, e: ModelExpr, s: str, order: int):
+    """Append the first `order` derivatives of e at the local s to tape and
+    return the names of the jet's components."""
+    sub = lambda node: _emit(tape, node, s, order)
+    if isinstance(e, Const):
+        return tape.constant(e.value, s, order)
+    if isinstance(e, Var):
+        return tape.seed(s, order)
+    if isinstance(e, Sum):
+        return reduce(tape.add, map(sub, e.terms))
+    if isinstance(e, Prod):
+        return reduce(tape.mul, map(sub, e.factors))
+    if isinstance(e, Quot):
+        return tape.div(sub(e.num), sub(e.den))
+    if isinstance(e, Pow):
+        return tape.pow(sub(e.base), e.exponent)
+    if isinstance(e, Exp):
+        return tape.exp(sub(e.arg))
+    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 @dataclass(frozen=True)
-class ModelPair:
+class ModelPair(_Compiled):
     """Mobilities of the two phases.
 
     m_a is evaluated at s, m_b at 1 - s; the reflection is applied by the
-    flux module, never baked into the stored expressions.
+    flux module, never baked into the stored expressions.  The flux module
+    caches its scalar programs of the pair's flux on the pair.
     """
 
     m_a: ModelExpr

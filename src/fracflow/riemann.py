@@ -9,10 +9,17 @@ The envelope itself is built from a monotone-chain hull over a dense
 sample of the graph; hull edges joining adjacent samples are "contact"
 edges, longer edges are chords whose tangency points are then refined
 against the exact derivative, since sampling alone misclassifies
-near-tangential contact.  Before the chain runs, one numpy pass drops every
-interior sample that is not locally convex (cross product with its two
-neighbours <= 0): such a point lies on or above its neighbours' chord and is
-never a strict hull vertex.
+near-tangential contact.  Only the edges that skip samples are tested
+against the curve; each run of adjacent edges becomes one arc.  Before the
+chain runs, one numpy pass drops every interior sample whose cross product
+with its two neighbours is < 0: it lies above its neighbours' chord and is
+never a hull vertex.  Through a run of neighbouring samples whose cross
+products are > 0, the chain's cross tests are those same products, so it
+appends the run without them.
+
+Each curve holds scalar straight-line programs for f and f' (for a pair:
+m_a at s and m_b at 1 - s fused into one program), bit for bit equal to
+f_taylor; points outside their domain take the f_taylor route.
 
 Inside a rarefaction the profile inverts f'(s) = xi over the whole arc with
 the bracket solver shared with the classifier.  The arc's end values of
@@ -34,7 +41,7 @@ import numpy as np
 from .jet import DomainError
 from .models import ModelExpr, ModelPair
 from .classifier import _require_finite, _bisect_sign_change as _bisect  # perfbench/spans.py times _bisect
-from .flux import f_jet, f_taylor, f_value  # noqa: F401  (perfbench/spans.py wraps f_jet here)
+from .flux import f_jet, f_taylor, f_value, pair_program  # noqa: F401  (perfbench/spans.py wraps f_jet here)
 
 DEFAULT_SAMPLES = 4096
 # tangency refinement: the construction needs at least 1e-10; this is
@@ -50,12 +57,18 @@ class PairFlux:
     def __init__(self, pair: ModelPair):
         self.pair = pair
         self._taylor = partial(f_taylor, pair)
+        self._f, self._df = pair_program(pair, 0), pair_program(pair, 1)
 
     def value(self, s):
-        return f_value(self.pair, s)
+        if isinstance(s, np.ndarray) or s == 0.0 or s == 1.0:
+            return f_value(self.pair, s)
+        try:
+            return self._f(s)[0]
+        except DomainError:
+            return f_value(self.pair, s)
 
     def deriv(self, s: float) -> float:
-        return _slope(self._taylor, s)
+        return _slope(self._df, self._taylor, s)
 
 
 class ExprFlux:
@@ -64,20 +77,21 @@ class ExprFlux:
     def __init__(self, expr: ModelExpr):
         self.expr = expr
         self._taylor = expr.taylor
+        self._df = expr.program(1, False)
 
     def value(self, s):
         return self.expr.eval(s)
 
     def deriv(self, s: float) -> float:
-        return _slope(self._taylor, s)
+        return _slope(self._df, self._taylor, s)
 
 
-def _slope(taylor, s: float) -> float:
-    """First derivative from taylor(s, order), clipped into [_CLIP, 1 - _CLIP]
-    when the exact point is outside the derivative's domain (non-integer
-    powers cannot be jetted at the exact endpoints)."""
+def _slope(program, taylor, s: float) -> float:
+    """f'(s) from the order-1 program; where s is outside its domain (a
+    non-integer power at an exact endpoint), from taylor at s clipped into
+    [_CLIP, 1 - _CLIP], whose DomainError names the point."""
     try:
-        return float(taylor(s, 1)[1])
+        return float(program(s)[1])
     except DomainError:
         return float(taylor(min(max(s, _CLIP), 1.0 - _CLIP), 1)[1])
 
@@ -145,23 +159,38 @@ class WaveFan:
 
 def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     """Lower hull of the points (xs[i], ys[i]), xs ascending, by the monotone
-    chain; the chain visits only the ends and the locally convex samples."""
+    chain over the ends and the samples whose cross product with their two
+    neighbours is >= 0.  Where the top two vertices are neighbours, the
+    chain's cross test of the next sample is the top vertex's own cross
+    product, same operands and formula; through a run of neighbours whose
+    cross products are > 0 each test passes, so the run is appended untested.
+    """
     x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
     y0, y1, y2 = ys[:-2], ys[1:-1], ys[2:]
-    keep = np.ones(len(xs), dtype=bool)
-    keep[1:-1] = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0.0
-    index = np.flatnonzero(keep)
+    cross = np.zeros(len(xs))  # the ends are always visited
+    cross[1:-1] = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    index = np.flatnonzero(cross >= 0.0)
+    adjacent = np.diff(index) == 1
+    # the last sample of each visited sample's run
+    ends = np.append(np.flatnonzero(~adjacent | (cross[index[:-1]] <= 0.0)), len(index) - 1)
+    run_end = np.repeat(ends, np.diff(ends, prepend=-1)).tolist()
+    adjacent = [False, *adjacent.tolist()]  # to the previous visited sample
     x, y = xs[index].tolist(), ys[index].tolist()
     hull: list[int] = []
-    for i in range(len(x)):
+    i = 0
+    while i < len(x):
         while len(hull) >= 2:
             o, a = hull[-2], hull[-1]
-            cross = (x[a] - x[o]) * (y[i] - y[o]) - (y[a] - y[o]) * (x[i] - x[o])
-            if cross <= 0.0:
+            cross_i = (x[a] - x[o]) * (y[i] - y[o]) - (y[a] - y[o]) * (x[i] - x[o])
+            if cross_i <= 0.0:
                 hull.pop()
             else:
                 break
         hull.append(i)
+        if adjacent[i] and hull[-2] == i - 1:
+            hull.extend(range(i + 1, run_end[i] + 1))
+            i = run_end[i]
+        i += 1
     return index[hull].tolist()
 
 
@@ -201,15 +230,19 @@ def envelope(flux, a: float, b: float, orientation: str):
         return float(np.max(np.abs(np.asarray(value(ts)) - line)))
 
     # classify hull edges: one joining adjacent samples, or staying within
-    # dev_tol of the curve, is contact; runs of contact edges merge into arcs
+    # dev_tol of the curve, is contact; runs of contact edges merge into arcs.
+    # Only the edges that skip samples can be chords (a NaN deviation is one).
+    x = xs[hull].tolist()
+    chords = [k for k in np.flatnonzero(np.diff(hull) > 1).tolist()
+              if not _chord_deviation(x[k], x[k + 1]) <= dev_tol]
     raw: list[tuple[str, float, float]] = []
-    for i, j in zip(hull, hull[1:]):
-        lo, hi = float(xs[i]), float(xs[j])
-        kind = "arc" if j == i + 1 or _chord_deviation(lo, hi) <= dev_tol else "chord"
-        if kind == "arc" and raw and raw[-1][0] == "arc":
-            raw[-1] = ("arc", raw[-1][1], hi)
-        else:
-            raw.append((kind, lo, hi))
+    start = 0  # first edge of the current contact run
+    for k in chords + [len(x) - 1]:
+        if k > start:
+            raw.append(("arc", x[start], x[k]))
+        if k < len(x) - 1:
+            raw.append(("chord", x[k], x[k + 1]))
+        start = k + 1
 
     h = float(xs[1] - xs[0])
 

@@ -18,15 +18,25 @@ def test_tracer_counts_seed_one_and_restores_the_patched_names():
     try:
         for inp in workloads.build("analyze_sweep", 1):
             workloads.quiet(workloads.op, "analyze_sweep", inp)
-        analyze = dict(tracer.counters)
-        workloads.quiet(workloads.op, "riemann_fans", workloads.build("riemann_fans", 1)[0])
+        analyze = spans.Counter(tracer.counters)
+        fans = []  # riemann counters of the draw's first two fans: one arc, then a shock and an arc
+        for inp in workloads.build("riemann_fans", 1)[:2]:
+            before = spans.Counter(tracer.counters)
+            workloads.quiet(workloads.op, "riemann_fans", inp)
+            fans.append({k: v for k, v in (tracer.counters - before).items() if k.startswith("riemann.")})
     finally:
         tracer.uninstall()
 
     brackets = analyze["classifier.brackets"]
     assert brackets == 539
     assert analyze["classifier.bisect_evals"] <= 6 * brackets
-    assert tracer.counters["riemann.invert_evals"] > 0
+    # a rewrite that stops a counted name from being called reads 0 here
+    assert fans == [
+        {"riemann.hull_points": 4097, "riemann.hull_vertices": 4088, "riemann.pieces": 1,
+         "riemann.invert_evals": 12},
+        {"riemann.hull_points": 4097, "riemann.hull_vertices": 369, "riemann.refine_evals": 20,
+         "riemann.pieces": 2, "riemann.invert_evals": 18},
+    ]
     calls = tracer.aggregate((0, spans.Counter()))["calls"]
-    assert calls["riemann.solve"] == 1 and calls["riemann._bisect"] > 0
+    assert calls["riemann.solve"] == 2 and calls["riemann._bisect"] > 0
     assert saved and all(getattr(owner, attr) is original for owner, attr, original in saved)

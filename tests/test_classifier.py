@@ -146,6 +146,20 @@ def test_sign_changes_names_the_first_non_finite_sample():
     assert info.value.index == 2
 
 
+def test_check_conditions_rejects_non_finite_condition_values():
+    # m = s^2*exp(800*s) overflows past s ~ 0.887, and the c4 numerator
+    # m'''m' - m''^2 already past s ~ 0.43; the overflowed samples used to pass
+    m = ff.parse("s^2*exp(800*s)")
+    s = np.linspace(1e-6, 1.0 - 1e-6, 4096)
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = m.eval_jet(s)
+        first = int(np.flatnonzero(~np.isfinite(j.f3 * j.f1 - j.f2 ** 2))[0])
+        assert np.isfinite([j.f0[:first + 1], j.f1[:first + 1], j.f2[:first + 1]]).all()
+        with pytest.raises(ff.DomainError, match=rf"non-finite c4 value at s\[{first}\]=") as info:
+            check_conditions(m)
+    assert info.value.index == first
+
+
 def test_power_family_admissible():
     rng = np.random.default_rng(101)
     for _ in range(50):

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -237,3 +238,23 @@ def test_riemann_non_finite_flux_exits_two(capsys):
     code, out, err = run(capsys, "riemann", "exp(1000*s)", "exp(1000*s)", "0", "1")
     assert code == 2
     assert "non-finite flux value at s[" in err and not out
+
+
+def test_check_non_finite_condition_values_exit_two(capsys):
+    code, out, err = run(capsys, "check", "s^2*exp(800*s)")
+    assert code == 2
+    assert err.startswith("error: non-finite c4 value at s[1757]=0.4290599709401709") and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "exp(1000*s)", "same"),
+    ("check", "exp(1000*s)"),
+    ("riemann", "exp(1000*s)", "exp(1000*s)", "0", "1"),
+], ids=lambda argv: argv[0])
+def test_overflowing_inputs_print_only_the_error_line(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err.startswith("error: non-finite") and err.count("\n") == 1

@@ -8,6 +8,7 @@ import pickle
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracflow as ff
 from fracflow import jet, models, riemann
@@ -190,3 +191,82 @@ def test_returned_components_are_separate_arrays(m):
             for i, (c, b) in enumerate(zip(comps, before)):
                 if i != j:
                     assert np.array_equal(c, b), (str(m), order, j, i)
+
+
+# -- scalar curve programs ------------------------------------------------------
+
+def _trees():
+    leaves = st.one_of(st.just(models.Var()),
+                       st.floats(-3.0, 3.0, allow_nan=False).map(models.Const))
+
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(lambda t: models.Sum(tuple(t))),
+            st.lists(children, min_size=2, max_size=3).map(lambda t: models.Prod(tuple(t))),
+            st.tuples(children, children).map(lambda t: models.Quot(*t)),
+            st.tuples(children, st.sampled_from([-2.0, -1.5, 0.5, 1.1, 2.0, 3.0])).map(
+                lambda t: models.Pow(*t)),
+            children.map(models.Exp),
+        )
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _outcome(fn, s):
+    """What fn(s) gives, bit for bit: the value's type and repr, or the error."""
+    try:
+        with np.errstate(all="ignore"):
+            v = fn(s)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(v).__name__, repr(float(v))
+
+
+def _clipped_slope(taylor, s):
+    """f' as the curves took it from taylor alone: at s, or where s is outside
+    the derivative's domain at s clipped into [_CLIP, 1 - _CLIP]."""
+    try:
+        return float(taylor(s, 1)[1])
+    except ff.DomainError:
+        return float(taylor(min(max(s, riemann._CLIP), 1.0 - riemann._CLIP), 1)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees(), _trees(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_curve_programs_equal_the_taylor_route_bit_for_bit(m_a, m_b, s):
+    pair = ff.ModelPair(m_a, m_b)
+    curve = riemann.PairFlux(pair)
+    taylor = functools.partial(f_taylor, pair)
+    assert _outcome(curve.deriv, s) == _outcome(functools.partial(_clipped_slope, taylor), s)
+    assert _outcome(curve.value, s) == _outcome(functools.partial(ff.f_value, pair), s)
+    expr = riemann.ExprFlux(m_a)
+    assert _outcome(expr.deriv, s) == _outcome(functools.partial(_clipped_slope, m_a.taylor), s)
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, 0.5, riemann._CLIP, 0.3])
+def test_curve_programs_keep_the_endpoint_clip_and_the_messages(s):
+    for pair in (ff.ModelPair(ff.parse("s^1.1"), ff.parse("s^1.1")),
+                 ff.ModelPair(ff.parse("s^1.1 * exp(s^10)"), ff.parse("s^2.5")),
+                 ff.ModelPair(ff.parse("s - 0.5"), ff.parse("s - 0.5")),   # m_a + m_b(1-s) = 0 at 0.5
+                 ff.ModelPair(ff.parse("1/(s - 0.3)"), ff.parse("s^2"))):  # m_a undefined at 0.3
+        curve = riemann.PairFlux(pair)
+        taylor = functools.partial(f_taylor, pair)
+        assert _outcome(curve.deriv, s) == _outcome(functools.partial(_clipped_slope, taylor), s)
+        assert _outcome(curve.value, s) == _outcome(functools.partial(ff.f_value, pair), s)
+    zero = ff.ModelPair(ff.parse("s - 0.5"), ff.parse("s - 0.5"))
+    with pytest.raises(ff.DomainError, match=r"^zero total mobility at s=0\.5$"):
+        riemann.PairFlux(zero).deriv(0.5)
+    with pytest.raises(ff.DomainError, match=r"^zero total mobility at s=0\.5$"):
+        riemann.PairFlux(zero).value(0.5)
+    clip = riemann.PairFlux(ff.ModelPair(ff.parse("s^1.1"), ff.parse("s^1.1")))
+    assert (clip.value(0.0), clip.value(1.0)) == (0.0, 1.0)
+    assert clip.deriv(0.0) == float(f_taylor(clip.pair, riemann._CLIP, 1)[1])
+    assert clip.deriv(1.0) == float(f_taylor(clip.pair, 1.0 - riemann._CLIP, 1)[1])
+
+
+def test_pair_programs_are_compiled_once_and_pickle_away():
+    pair = ff.ModelPair(ff.parse("s^1.1 * exp(s^10)"), ff.parse("s^2"))
+    curve = riemann.PairFlux(pair)
+    assert riemann.PairFlux(pair)._df is curve._df
+    copy = pickle.loads(pickle.dumps(pair))
+    assert copy == pair and "_programs" not in copy.__dict__
+    assert riemann.PairFlux(copy).deriv(0.3) == curve.deriv(0.3)

@@ -422,23 +422,10 @@ HULL_CASES = [
     *[(f"CE{k}", ff.ModelPair(m, m), 0.0, 1.0)
       for k, m in enumerate(ff.models.parse(t) for t in ff.models.COUNTEREXAMPLES)],
     ("chierici", ff.ModelPair(ff.chierici(1.0, 3.0, 1.0), ff.chierici(1.0, 3.0, 1.0)), 0.0, 1.0),
-    # flat stretch where the prefiltered chain drops one collinear vertex
+    # underflowed stretch whose cross products with the neighbours round to 0
     ("chierici flat", ff.ModelPair(ff.parse("exp(-6.4263*((1 - s)/s))"),
                                    ff.parse("exp(-2.3092*((1 - s)/s))")), 0.0, 0.1834),
 ]
-
-
-@pytest.mark.parametrize("name,pair,a,b", HULL_CASES, ids=[c[0] for c in HULL_CASES])
-@pytest.mark.parametrize("orientation", ["convex_lower", "concave_upper"])
-def test_prefiltered_hull_matches_the_plain_chain(name, pair, a, b, orientation, monkeypatch):
-    sign = 1.0 if orientation == "convex_lower" else -1.0
-    xs = np.linspace(a, b, rm.DEFAULT_SAMPLES + 1)
-    ys = sign * ff.f_value(pair, xs)
-    if rm._lower_hull_indices(xs, ys) == plain_lower_hull(xs, ys):
-        return
-    pieces = rm.envelope(pair, a, b, orientation)
-    monkeypatch.setattr(rm, "_lower_hull_indices", plain_lower_hull)
-    assert rm.envelope(pair, a, b, orientation) == pieces
 
 
 def test_prefiltered_hull_keeps_every_vertex_of_small_inputs():
@@ -447,6 +434,57 @@ def test_prefiltered_hull_keeps_every_vertex_of_small_inputs():
     xs = np.linspace(0.0, 1.0, 9)
     for ys in (xs ** 2, -xs ** 2, np.sin(7 * xs), np.zeros_like(xs)):
         assert rm._lower_hull_indices(xs, ys) == plain_lower_hull(xs, ys)
+
+
+def _hull_inputs():
+    """(name, xs, ys): synthetic samples, then the flux samples of HULL_CASES."""
+    rng = np.random.default_rng(11)
+    xs = np.linspace(0.0, 1.0, rm.DEFAULT_SAMPLES + 1)
+    with np.errstate(divide="ignore"):
+        underflowed = np.exp(-30.0 / xs)  # exact zeros up to s ~ 0.04
+    out = [
+        ("random", np.sort(rng.uniform(0.0, 1.0, 600)), rng.normal(size=600)),
+        ("random convex", xs, xs ** 2 + 1e-4 * rng.normal(size=xs.size)),
+        ("collinear", xs, 2.0 * xs - 1.0),
+        ("collinear integers", np.arange(200.0), 3.0 * np.arange(200.0) - 7.0),
+        ("flat", xs, np.zeros_like(xs)),
+        ("underflowed", xs, underflowed),
+        ("alternating noise", xs, xs ** 2 + 1e-9 * (-1.0) ** np.arange(xs.size)),
+        ("alternating noise, coarse", xs, xs ** 2 + 1e-7 * (-1.0) ** np.arange(xs.size)),
+    ]
+    for name, pair, a, b in HULL_CASES:
+        s = np.linspace(a, b, rm.DEFAULT_SAMPLES + 1)
+        out.append((name, s, ff.f_value(pair, s)))
+    return out
+
+
+HULL_INPUTS = _hull_inputs()
+
+
+@pytest.mark.parametrize("name,xs,ys", HULL_INPUTS, ids=[c[0] for c in HULL_INPUTS])
+@pytest.mark.parametrize("orientation", ["convex_lower", "concave_upper"])
+def test_prefiltered_hull_matches_the_plain_chain(name, xs, ys, orientation):
+    sign = 1.0 if orientation == "convex_lower" else -1.0
+    assert rm._lower_hull_indices(xs, sign * ys) == plain_lower_hull(xs, sign * ys)
+
+
+def scipy_lower_hull(xs, ys):
+    """Lower hull vertices by Qhull: counterclockwise from the leftmost vertex
+    to the rightmost one."""
+    spatial = pytest.importorskip("scipy.spatial")
+    ring = spatial.ConvexHull(np.column_stack([xs, ys])).vertices.tolist()
+    ring = ring[ring.index(int(np.argmin(xs))):] + ring[:ring.index(int(np.argmin(xs)))]
+    return ring[:ring.index(int(np.argmax(xs))) + 1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hull_vertices_match_qhull_in_general_position(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 2000))
+    xs = np.sort(rng.uniform(0.0, 1.0, n))
+    # from scattered points (a short hull) to a noisy convex curve (long runs)
+    ys = (xs - 0.5) ** 2 * 10.0 ** rng.uniform(-2.0, 2.0) + 10.0 ** rng.uniform(-6.0, 0.0) * rng.normal(size=n)
+    assert rm._lower_hull_indices(xs, ys) == scipy_lower_hull(xs, ys)
 
 
 # -- finite-volume oracle -------------------------------------------------------
