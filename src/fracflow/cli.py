@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -76,7 +77,7 @@ def _flux_table(pair: ModelPair, grid_n: int, eps: float):
     s = np.linspace(0.0, 1.0, grid_n)
     f = flux.f_value(pair, s)
     s_clipped = np.clip(s, eps, 1.0 - eps)
-    f2 = np.asarray(flux.f_jet(pair, s_clipped).f2, dtype=float)
+    f2 = np.asarray(flux.f_taylor(pair, s_clipped, 2)[2], dtype=float)
     return zip(s, f, f2)
 
 
@@ -226,8 +227,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         # overflow surfaces as a DomainError on the non-finite value, not as
-        # numpy warnings on the way there
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # numpy warnings on the way there; library warnings print as one line each
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.func(args)
     except (ParseError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,8 +66,8 @@ def pair_program(pair: ModelPair, order: int):
     point."""
     if order not in pair._programs:
         tape = Tape(False)
-        a = _emit(tape, pair.m_a, "s", order)
-        b = _emit(tape, pair.m_b, tape.let("1.0 - s"), order)
+        a = tape.opaque(_emit(tape, pair.m_a, "s", order))
+        b = tape.opaque(_emit(tape, pair.m_b, tape.let("1.0 - s"), order))
         pair._programs[order] = tape.build(["s"], _flux_rule(tape, a, b))
     return pair._programs[order]
 

@@ -10,6 +10,7 @@ powers and exp) is written once, as a Tape method that appends the Python
 source of its result components to a straight-line program.  Component j of
 every rule reads only components <= j of its operands, so a program built
 from jets of k+1 components is the exact truncation of the order-3 one.
+Components known as the program is built are folded away (see Tape).
 models compiles whole expression trees this way; the Jet3 functions below
 are order-3 programs of a single rule.  Components may be Python floats or
 numpy arrays (for whole-grid evaluation); every rule is elementwise.
@@ -17,6 +18,7 @@ numpy arrays (for whole-grid evaluation); every rule is elementwise.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,28 +87,31 @@ def _copy(x: Real) -> Real:
     return x.copy() if isinstance(x, np.ndarray) else x
 
 
-# Component j of each rule; {aj}, {bj}: operand components, {cj}: result
-# components already computed, {pj}: derivatives of the outer function.
+# Component j of each rule; aj, bj: operand components, cj: result components
+# already computed, pj: derivatives of the outer function; x^3 is x ** 3.
 _LEIBNIZ = (
-    "{a0} * {b0}",
-    "{a1} * {b0} + {a0} * {b1}",
-    "{a2} * {b0} + 2.0 * {a1} * {b1} + {a0} * {b2}",
-    "{a3} * {b0} + 3.0 * {a2} * {b1} + 3.0 * {a1} * {b2} + {a0} * {b3}",
+    "a0*b0",
+    "a1*b0 + a0*b1",
+    "a2*b0 + 2.0*a1*b1 + a0*b2",
+    "a3*b0 + 3.0*a2*b1 + 3.0*a1*b2 + a0*b3",
 )
-# solves the Leibniz recurrence for c in a = c*b
+# solves the Leibniz recurrence for c in a = c*b, each row divided by b0
 _QUOTIENT = (
-    "{a0} / {b0}",
-    "({a1} - {c0} * {b1}) / {b0}",
-    "({a2} - 2.0 * {c1} * {b1} - {c0} * {b2}) / {b0}",
-    "({a3} - 3.0 * {c2} * {b1} - 3.0 * {c1} * {b2} - {c0} * {b3}) / {b0}",
+    "a0",
+    "a1 - c0*b1",
+    "a2 - 2.0*c1*b1 - c0*b2",
+    "a3 - 3.0*c2*b1 - 3.0*c1*b2 - c0*b3",
 )
 # Faa di Bruno for g = phi(a)
 _CHAIN = (
-    "{p0}",
-    "{p1} * {a1}",
-    "{p2} * {a1} * {a1} + {p1} * {a2}",
-    "{p3} * {a1} ** 3 + 3.0 * {p2} * {a1} * {a2} + {p1} * {a3}",
+    "p0",
+    "p1*a1",
+    "p2*a1*a1 + p1*a2",
+    "p3*a1^3 + 3.0*p2*a1*a2 + p1*a3",
 )
+_UNIT = ("1.0", "0.0", "0.0", "0.0")  # the jet of 1
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "**": operator.pow, "==": operator.eq, "<": operator.lt, "<=": operator.le}
 
 
 @lru_cache(maxsize=256)
@@ -125,18 +130,21 @@ class Tape:
     With array=False the program runs on plain floats and domain checks are
     float comparisons.  With array=True components are numpy arrays (or
     anything np.asarray takes) and a failed check reports the flat index of
-    the first failing element; all components of one array program share
-    one shape, so it allocates one array of ones and one of zeros at most.
-    The rules take jets as tuples of component names and return the names
-    of their result; the order is the length of the tuples minus one.
+    the first failing element.  The rules take jets as tuples of component
+    names and return the names of their result; the order is the length of
+    the tuples minus one.  Components known as they are emitted (`known`:
+    seeds' 1 and 0s, constants, and what rules make of those) fold: x*1,
+    x/1, x+0 and x-0 are x, x*0 is 0, 0-x is -x, known operands compute here
+    in the program's own arithmetic, and the rest keeps its order, so only
+    zeros differ from the unfolded program (+0.0 for -0.0, 0 for 0*inf).
     """
 
     def __init__(self, array: bool):
         self.array = array
         self.lines: list[str] = []
         self.consts: list = []
+        self.known: dict = {"0.0": 0.0, "1.0": 1.0, "2.0": 2.0, "3.0": 3.0, "3": 3}
         self._n = 0
-        self._filled: dict[str, str] = {}
 
     def let(self, expr: str) -> str:
         name = f"v{self._n}"
@@ -148,27 +156,28 @@ class Tape:
         self.consts.append(value)
         return f"k{len(self.consts) - 1}"
 
-    def check(self, bad: str, message: str) -> None:
-        """Raise DomainError(message) where the expression `bad` holds."""
+    def check(self, x: str, op: str, message: str) -> None:
+        """Raise DomainError(message) where `x op 0.0` holds."""
+        if x in self.known and not _OPS[op](self.known[x], 0.0):
+            return
+        bad = f"{x} {op} 0.0"
         if self.array:
             self.lines.append(f"bad = np.asarray({bad})")
             self.lines.append(f"if bad.any(): raise DomainError({self.const(message)}, int(bad.argmax()))")
         else:
             self.lines.append(f"if {bad}: raise DomainError({self.const(message)})")
 
-    def fill(self, maker: str, like: str) -> str:
-        """The program's one array of `maker` ("_ones_like" or "_zeros_like"),
-        shaped like the first `like` asked for."""
-        if maker not in self._filled:
-            self._filled[maker] = self.let(f"{maker}({like})")
-        return self._filled[maker]
-
     def build(self, params: list[str], result: Names) -> Callable:
         """Compile the program into a function of params returning the tuple result."""
-        if self.array:  # a local returned twice (a shared fill) is copied
+        if self.array:  # known components become arrays like params[0]; a local returned twice is copied
             out: list[str] = []
             for name in result:
-                out.append(self.let(f"_copy({name})") if name in out else name)
+                if name in self.known:
+                    like = f"_{'zeros' if name == '0.0' else 'ones'}_like({params[0]})"
+                    name = self.let(like if name in _UNIT else f"{name} * {like}")
+                elif name in out:
+                    name = self.let(f"_copy({name})")
+                out.append(name)
             result = tuple(out)
         lines = self._released(result) if self.array else self.lines
         body = "".join(f"        {line}\n" for line in lines)
@@ -198,50 +207,88 @@ class Tape:
                 out.append(f"del {', '.join(dead[i])}")
         return out
 
-    def _rule(self, rows: tuple[str, ...], order: int, **operands: Names) -> Names:
+    def _known(self, value) -> str:
+        if type(value) is float and value in (0.0, 1.0):
+            return "1.0" if value else "0.0"
+        self.known[name := self.const(value)] = value
+        return name
+
+    def _fold(self, fn: Callable, *args):
+        """fn(*args) as the program computes it; None where a float program raises
+        or leaves floats (it then runs the operation itself)."""
+        if self.array and (fn in (operator.pow, np.exp) or fn is operator.truediv and not args[1]):
+            with np.errstate(all="ignore"):  # numpy's own powers, exp and x/0; the rest is IEEE
+                return float(fn(*map(np.asarray, args)))
+        try:
+            value = fn(*args)
+        except ArithmeticError:
+            return None
+        return value if type(value) is float else None
+
+    def _op(self, x: str, op: str, y: str) -> str:
+        """x op y folded: a known name, x or y itself, or source text."""
+        kx, ky = self.known.get(x), self.known.get(y)
+        if x in self.known and y in self.known:
+            value = self._fold(_OPS[op], kx, ky)
+            if value is not None:
+                return self._known(value)
+        elif op == "*" and 0.0 in (kx, ky):
+            return "0.0"
+        elif op == "*" and kx == 1.0 or op == "+" and kx == 0.0:
+            return y
+        elif op in "*/" and ky == 1.0 or op in "+-" and ky == 0.0:
+            return x
+        elif op == "-" and kx == 0.0:
+            return f"-{y}"
+        return f"({x}) / {y}" if op == "/" and " " in x else f"{x} {op} {y}"
+
+    def opaque(self, comps: Names) -> Names:
+        """comps with known components bound to locals: rules then fold none."""
+        return tuple(self.let(c) if c in self.known else c for c in comps)
+
+    def _name(self, expr: str) -> str:
+        """expr as a component: itself if it is a name, else a new local."""
+        return expr if expr in self.known or expr.isidentifier() else self.let(expr)
+
+    def _rule(self, rows: tuple, order: int, divisor: Optional[str] = None, **operands: Names) -> Names:
         names = {f"{key}{j}": c for key, comps in operands.items() for j, c in enumerate(comps)}
-        out = []
         for j in range(order + 1):
-            names[f"c{j}"] = self.let(rows[j].format(**names))
-            out.append(names[f"c{j}"])
-        return tuple(out)
+            tokens = ("+ " + rows[j]).split(" ")
+            acc = None
+            for sign, term in zip(tokens[::2], tokens[1::2]):
+                prod = None
+                for factor in term.split("*"):
+                    x, _, n = factor.partition("^")
+                    x = self._op(names.get(x, x), "**", n) if n else names.get(x, x)
+                    prod = x if prod is None else self._op(prod, "*", x)
+                acc = prod if acc is None else self._op(acc, sign, prod)
+            names[f"c{j}"] = self._name(acc if divisor is None else self._op(acc, "/", divisor))
+        return tuple(names[f"c{j}"] for j in range(order + 1))
 
     # -- leaves ----------------------------------------------------------
 
     def seed(self, s: str, order: int) -> Names:
         """Jet of the identity function at s: (s, 1, 0, 0)."""
-        return (s,) + self._unit(s, order)
+        return (s,) + _UNIT[:order]
 
-    def constant(self, value: float, like: str, order: int) -> Names:
-        """Jet of a constant, shaped like the input: (c, 0, 0, 0)."""
-        if not self.array:
-            return (self.const(value * 1.0),) + ("0.0",) * order
-        c = self.let(f"{self.const(value)} * {self.fill('_ones_like', like)}")
-        return (c,) + (self.fill("_zeros_like", like),) * order
-
-    def _unit(self, like: str, n: int) -> Names:
-        """The first n components of the jet of 1, shaped like `like`."""
-        if not self.array:
-            return ("1.0", "0.0", "0.0", "0.0")[:n]
-        if n == 0:
-            return ()
-        zero = (self.fill("_zeros_like", like),) if n > 1 else ()
-        return (self.fill("_ones_like", like),) + zero * (n - 1)
+    def constant(self, value: float, order: int) -> Names:
+        """Jet of a constant: (c, 0, 0, 0), all known."""
+        return (self._known(float(value) if self.array else value * 1.0),) + _UNIT[1:order + 1]
 
     # -- rules -----------------------------------------------------------
 
     def add(self, a: Names, b: Names) -> Names:
-        return tuple(self.let(f"{x} + {y}") for x, y in zip(a, b))
+        return tuple(self._name(self._op(x, "+", y)) for x, y in zip(a, b))
 
     def sub(self, a: Names, b: Names) -> Names:
-        return tuple(self.let(f"{x} - {y}") for x, y in zip(a, b))
+        return tuple(self._name(self._op(x, "-", y)) for x, y in zip(a, b))
 
     def neg(self, a: Names) -> Names:
-        return tuple(self.let(f"-{x}") for x in a)
+        return tuple(self._name(self._op("0.0", "-", x)) for x in a)
 
     def reflect(self, a: Names) -> Names:
         """Jet of s -> m(1 - s) from the jet of m at 1 - s: odd derivatives flip sign."""
-        return tuple(self.let(f"-{x}") if j % 2 else x for j, x in enumerate(a))
+        return tuple(self._name(self._op("0.0", "-", x)) if j % 2 else x for j, x in enumerate(a))
 
     def mul(self, a: Names, b: Names) -> Names:
         """Product via the Leibniz rule."""
@@ -252,8 +299,8 @@ class Tape:
         order = len(a) - 1
         if message is None:
             message = "division by zero" if order == 0 else "division by a jet with zero value"
-        self.check(f"{b[0]} == 0.0", message)
-        return self._rule(_QUOTIENT, order, a=a, b=b)
+        self.check(b[0], "==", message)
+        return self._rule(_QUOTIENT, order, b[0], a=a, b=b)
 
     def pow(self, a: Names, p: float) -> Names:
         """a**p for a constant real exponent p.
@@ -267,15 +314,15 @@ class Tape:
         order = len(a) - 1
         if order == 0:
             if p != round(p):
-                self.check(f"{a[0]} < 0.0", f"non-integer power {p} of a negative value")
+                self.check(a[0], "<", f"non-integer power {p} of a negative value")
             if p < 0:
-                self.check(f"{a[0]} == 0.0", f"zero raised to negative power {p}")
-            return (self.let(f"{a[0]} ** {self.const(p)}"),)
+                self.check(a[0], "==", f"zero raised to negative power {p}")
+            return (self._name(self._op(a[0], "**", self._known(p))),)
         if p == round(p):
             n = int(round(p))
             if n < 0:
-                return self.div(self._unit(a[0], order + 1), self.pow(a, -p))
-            result, base = self._unit(a[0], order + 1), a
+                return self.div(_UNIT[:order + 1], self.pow(a, -p))
+            result, base = _UNIT[:order + 1], a
             while n > 0:
                 if n & 1:
                     result = self.mul(result, base)
@@ -283,20 +330,21 @@ class Tape:
                 if n:
                     base = self.mul(base, base)
             return result
-        self.check(f"{a[0]} <= 0.0", f"non-integer power {p} of a non-positive value")
+        self.check(a[0], "<=", f"non-integer power {p} of a non-positive value")
         # phi_j = p*(p-1)*...*(p-j+1) * a0**(p-j); the coefficient and the
         # exponent are folded into constants
         coeff, phis = 1.0, []
         for j in range(order + 1):
-            power = self.let(f"{a[0]} ** {self.const(p - j if j else p)}")
+            power = self._op(a[0], "**", self._known(p - j if j else p))
             if j:
                 coeff = p if j == 1 else coeff * (p - (j - 1.0))
-                power = self.let(f"{self.const(coeff)} * {power}")
-            phis.append(power)
+                power = self._op(self._known(coeff), "*", power)
+            phis.append(self._name(power))
         return self._rule(_CHAIN, order, p=tuple(phis), a=a)
 
     def exp(self, a: Names) -> Names:
-        e = self.let(f"exp({a[0]})")
+        known = self.array and a[0] in self.known  # a float program runs its own exp
+        e = self._known(self._fold(np.exp, self.known[a[0]])) if known else self.let(f"exp({a[0]})")
         return self._rule(_CHAIN, len(a) - 1, p=(e,) * len(a), a=a)
 
 

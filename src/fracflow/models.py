@@ -146,7 +146,7 @@ def _emit(tape: Tape, e: ModelExpr, s: str, order: int):
     return the names of the jet's components."""
     sub = lambda node: _emit(tape, node, s, order)
     if isinstance(e, Const):
-        return tape.constant(e.value, s, order)
+        return tape.constant(e.value, order)
     if isinstance(e, Var):
         return tape.seed(s, order)
     if isinstance(e, Sum):

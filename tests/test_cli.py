@@ -97,6 +97,12 @@ def test_analyze_same_keyword_and_counts(capsys):
     assert out.count("inflection:") == 5
 
 
+def test_library_warnings_print_as_one_line_each(capsys):
+    code, out, err = run(capsys, "analyze", "s^1.1 * (1 + 15*s^30)", "same")
+    assert code == 0 and "inflection: s=0.5" in out
+    assert err == "warning: s2 has 5 sign changes; reporting the first\n"
+
+
 def test_analyze_csv_output(tmp_path, capsys):
     out_csv = tmp_path / "flux.csv"
     code, _, _ = run(capsys, "analyze", "s^2", "s^2", "--csv", str(out_csv), "--grid", "1001")

@@ -4,6 +4,7 @@ and the hard inputs at the domain boundary."""
 import collections
 import functools
 import pickle
+import re
 
 import mpmath
 import numpy as np
@@ -113,7 +114,7 @@ def test_division_by_zero_raises_in_both_paths(order):
 
 @pytest.mark.parametrize("text,s", [
     ("1/(s - 0.5)", 0.5), ("1/s", 0.0), ("s^-2", 0.0), ("(s - 0.5)^-1", 0.5),
-    ("s^-1.5", 0.0), ("s/(s*s)", 0.0), ("exp(1/s)", 0.0),
+    ("s^-1.5", 0.0), ("s/(s*s)", 0.0), ("exp(1/s)", 0.0), ("((1 - 2)^0.5)^1.5", 0.5),
 ])
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_no_bare_zero_division_from_scalar_path(text, s, order):
@@ -166,19 +167,43 @@ def test_array_program_equals_node_by_node_composition(name, m):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, k)
 
 
-def test_array_program_allocates_one_ones_and_one_zeros(monkeypatch):
+@pytest.mark.parametrize("text,counts", [
+    ("s^1.1*(1 + 15*s^3) + 2*s^4 - (1 + s)^2/(3 + s)^2", [{}, {}, {}]),
+    ("s", [{"_ones_like": 1}, {"_ones_like": 1, "_zeros_like": 1}, {"_ones_like": 1, "_zeros_like": 2}]),
+    ("3*s^2 + 1", [{}, {"_ones_like": 1}, {"_ones_like": 1, "_zeros_like": 1}]),  # f2 = 6, f3 = 0
+    ("(1 + s)^0", [{"_ones_like": 1, "_zeros_like": 1}, {"_ones_like": 1, "_zeros_like": 2},
+                   {"_ones_like": 1, "_zeros_like": 3}]),
+    ("s - s", [{"_zeros_like": 1}, {"_zeros_like": 2}, {"_zeros_like": 3}]),  # f0 = s - s is computed
+])
+def test_array_programs_allocate_only_returned_known_components(text, counts, monkeypatch):
     calls = collections.Counter()
     for maker in ("_ones_like", "_zeros_like"):
         original = getattr(jet, maker)
         monkeypatch.setattr(jet, maker, lambda s, f=original, n=maker: calls.update([n]) or f(s))
-    jet._maker.cache_clear()  # recompile with the counting fills
-    m = ff.parse("s^1.1*(1 + 15*s^3) + 2*s^4 - (1 + s)^2/(3 + s)^2")
-    for order in (1, 2, 3):
+    jet._maker.cache_clear()  # recompile with the counting makers
+    m = ff.parse(text)
+    for order, want in enumerate(counts, 1):
         calls.clear()
         m._programs.clear()
         m.taylor(POINTS, order)
-        assert calls == {"_ones_like": 1, "_zeros_like": 1}, order
+        assert calls == want, order
     jet._maker.cache_clear()
+
+
+# a binary operation with a literal operand that folding removes
+IDENTITY_OP = re.compile(r"[*/] 1\.0\b|\b1\.0 \*|[-+*] 0\.0\b|\b0\.0 [-+*]")
+
+
+@pytest.mark.parametrize("text", models.COUNTEREXAMPLES)
+def test_counterexample_programs_emit_no_identity_operations(text):
+    m = ff.parse(text)
+    for order in range(4):
+        for array in (False, True):
+            tape = jet.Tape(array)
+            models._emit(tape, m, "s", order)
+            assert not [line for line in tape.lines if IDENTITY_OP.search(line)], (order, array)
+    assert IDENTITY_OP.search("v3 = v1 * 1.0") and IDENTITY_OP.search("v3 = 0.0 - v1")
+    assert not IDENTITY_OP.search("if s <= 0.0: raise DomainError(k0)")
 
 
 @pytest.mark.parametrize("m", LEAF_TREES + [m for _, m in TREES[:4]], ids=str)
@@ -195,20 +220,167 @@ def test_returned_components_are_separate_arrays(m):
 
 # -- scalar curve programs ------------------------------------------------------
 
-def _trees():
+def _trees(leaves=st.nothing(), exponents=(-2.0, -1.5, 0.5, 1.1, 2.0, 3.0)):
     leaves = st.one_of(st.just(models.Var()),
-                       st.floats(-3.0, 3.0, allow_nan=False).map(models.Const))
+                       st.floats(-3.0, 3.0, allow_nan=False).map(models.Const), leaves)
 
     def extend(children):
         return st.one_of(
             st.lists(children, min_size=2, max_size=3).map(lambda t: models.Sum(tuple(t))),
             st.lists(children, min_size=2, max_size=3).map(lambda t: models.Prod(tuple(t))),
             st.tuples(children, children).map(lambda t: models.Quot(*t)),
-            st.tuples(children, st.sampled_from([-2.0, -1.5, 0.5, 1.1, 2.0, 3.0])).map(
+            st.tuples(children, st.sampled_from(exponents)).map(
                 lambda t: models.Pow(*t)),
             children.map(models.Exp),
         )
     return st.recursive(leaves, extend, max_leaves=8)
+
+
+# -- folding against the unfolded composition ---------------------------------
+
+CONSTANT_SUBTREES = [ff.parse(t) for t in ("2*3", "s^0", "(1 + s)^0", "0*s", "s - s", "1/(2 + 0*s)")]
+
+
+def _power(a, p):
+    """a**p as Tape.pow takes it, with integer powers multiplied out from a
+    unit jet of real ones and zeros, so that nothing in the oracle folds."""
+    if p != round(p):
+        return jet.pow_const(a, p)
+    one = jet.constant(np.ones_like(a.f0) if isinstance(a.f0, np.ndarray) else 1.0)
+    n = int(round(p))
+    if n < 0:
+        return jet.div(one, _power(a, -p))
+    result, base = one, a
+    while n > 0:
+        if n & 1:
+            result = jet.mul(result, base)
+        n >>= 1
+        if n:
+            base = jet.mul(base, base)
+    return result
+
+
+def _unfolded(m, s):
+    """Order-3 jet of m composed node by node from single-rule programs whose
+    operands are all parameters: the ones and zeros of seeds and constants are
+    real floats or arrays, multiplied and added at run time."""
+    if isinstance(m, models.Const):
+        return jet.constant(m.value * (np.ones_like(s) if isinstance(s, np.ndarray) else 1.0))
+    if isinstance(m, models.Var):
+        return jet.seed(s)
+    if isinstance(m, models.Sum):
+        return functools.reduce(jet.add, (_unfolded(t, s) for t in m.terms))
+    if isinstance(m, models.Prod):
+        return functools.reduce(jet.mul, (_unfolded(f, s) for f in m.factors))
+    if isinstance(m, models.Quot):
+        return jet.div(_unfolded(m.num, s), _unfolded(m.den, s))
+    if isinstance(m, models.Pow):
+        return _power(_unfolded(m.base, s), m.exponent)
+    return jet.exp_jet(_unfolded(m.arg, s))
+
+
+def _jet_outcome(fn, s):
+    """fn()'s components, or its error as (type name, flat index into s)."""
+    try:
+        return tuple(fn())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, getattr(exc, "index", None) if isinstance(s, np.ndarray) else None
+
+
+def _assert_folded(got, want, invalid):
+    """got equals want: bit for bit where want is finite and nonzero, by value
+    at zeros and infinities, and with nan at the same places unless the
+    unfolded run met an invalid operation (inf*0 there is nan, 0 when folded)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    exact = np.isfinite(want) & (want != 0.0)
+    assert got[exact].tobytes() == want[exact].tobytes()
+    assert np.array_equal(got[want == 0.0], want[want == 0.0])
+    assert np.array_equal(got[np.isinf(want)], want[np.isinf(want)])
+    if not invalid:
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+
+
+def _meets_invalid(fn, *args):
+    """Whether fn on args as arrays meets an invalid operation such as inf*0."""
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            fn(*map(np.atleast_1d, args))
+    except FloatingPointError:
+        return True
+    except ArithmeticError:
+        pass
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees(leaves=st.sampled_from(CONSTANT_SUBTREES),
+              exponents=[-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, -1.5, 0.5, 1.1]))
+def test_folded_programs_equal_the_unfolded_composition(m):
+    for s in (POINTS, *POINTS[::50].tolist()):
+        invalid = _meets_invalid(lambda x: _unfolded(m, x), s)
+        with np.errstate(all="ignore"):
+            want = _jet_outcome(lambda: _unfolded(m, s).__dict__.values(), s)
+            for k in (1, 2, 3):
+                got = _jet_outcome(lambda: m.taylor(s, k), s)
+                if isinstance(want[0], str) or isinstance(got[0], str):
+                    # a float power may overflow in the order-3 components
+                    # alone; a known 0 may make a nan divisor (0*inf) zero
+                    if (k == 3 or want[0] == "DomainError") and not invalid:
+                        assert got == want, (str(m), k)
+                    continue
+                assert len(got) == k + 1, (str(m), k)
+                for j in range(k + 1):
+                    _assert_folded(got[j], want[j], invalid)
+
+
+RULES = [("add", 2, ()), ("sub", 2, ()), ("mul", 2, ()), ("div", 2, ()), ("neg", 1, ()),
+         ("reflect", 1, ()), ("exp", 1, ())] + [("pow", 1, (p,)) for p in (-2.0, 0.0, 3.0, -1.5, 1.1)]
+RULE_POINTS = np.random.default_rng(11).uniform(-2.0, 2.0, 64)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: f"{r[0]}{r[2]}")
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.booleans(),
+       st.lists(st.sampled_from([None, None, 0.0, -0.0, 1.0, 1.0, -1.0, 2.0]) | st.floats(-4.0, 4.0),
+                min_size=8, max_size=8))
+def test_each_rule_folds_like_its_unfolded_program(rule, order, array, values):
+    """One rule on jets whose components are known (a value) or parameters
+    (None), folded, against the unfolded rule fed the known values at run time."""
+    name, n_jets, params = rule
+    tape = jet.Tape(array)
+    jets = [tuple(f"x{4 * i + j}" if values[4 * i + j] is None else tape._known(values[4 * i + j])
+                  for j in range(order + 1)) for i in range(n_jets)]
+    unknown = [c for jet_ in jets for c in jet_ if c.startswith("x")] or ["x0"]
+    folded = tape.build(unknown, getattr(tape, name)(*jets, *params))
+    unfolded = jet._program(name, n_jets, *params)
+    for s in ([RULE_POINTS] if array else RULE_POINTS[::16].tolist()):
+        inputs = [s + 0.5 * k for k in range(4 * n_jets)]
+        one = np.ones_like(s) if array else 1.0
+        runtime = [inputs[k] if v is None else v * one for k, v in enumerate(values[:4 * n_jets])]
+        invalid = _meets_invalid(unfolded, *runtime)
+        with np.errstate(all="ignore"):
+            want = _jet_outcome(lambda: unfolded(*runtime), s)
+            got = _jet_outcome(lambda: folded(*(inputs[int(c[1:])] for c in unknown)), s)
+        if isinstance(want[0], str) or isinstance(got[0], str):
+            if (order == 3 or want[0] == "DomainError") and not invalid:
+                assert got == want, (name, jets)
+            continue
+        assert len(got) == order + 1, (name, jets)
+        for j in range(order + 1):
+            _assert_folded(got[j], want[j], invalid)
+
+
+def test_known_zero_absorbs_an_overflowed_factor():
+    # unfolded, 0 * exp(1000*s) is 0 * inf = nan where exp overflows; folded,
+    # the known 0 makes the product 0 whatever the other factor holds
+    m = ff.parse("0*exp(1000*s) + s^2")
+    s = np.array([0.25, 0.75])
+    with np.errstate(all="ignore"):
+        unfolded = _unfolded(m, s)
+        folded = m.taylor(s, 3)
+        assert ff.check_conditions(m).in_class_M  # `fracflow check` exited 2 on the nan
+    assert np.isnan(unfolded.f0[1]) and np.isfinite(unfolded.f0[0])
+    assert [c.tolist() for c in folded] == [(s * s).tolist(), (s + s).tolist(), [2.0, 2.0], [0.0, 0.0]]
 
 
 def _outcome(fn, s):
