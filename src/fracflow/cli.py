@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_b", help="other-phase mobility; 'same' repeats model_a")
     p.add_argument("--csv", help="write s,f,f2 samples to this path")
     p.add_argument("--svg", help="write a flux line plot to this path")
-    p.add_argument("--grid", type=int, default=flux.DEFAULT_GRID_N)
-    p.add_argument("--tol", type=float, default=1e-12, help="inflection refinement tolerance")
+    p.add_argument("--grid", type=int, default=flux.DEFAULT_GRID_N, help="grid resolution (at least 1000)")
+    p.add_argument("--tol", type=float, default=1e-12, help="refinement tolerance for inflections, s1 and s2")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("figures", help="data files for the three counterexample pairs")

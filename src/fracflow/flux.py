@@ -9,6 +9,10 @@ through the sign-alternating reflection.  The closed forms
 
 (all m_b symbols taken at 1-s, m = m_a + m_b, m' the true s-derivative)
 are provided as an independent cross-check of the jet route.
+
+An analysis evaluates the order-2 jets of m_a and m_b once on its grid;
+they give f'' and the numerators of s1 (m_a' - m_b') and s2 (h'), whose
+sign changes are taken on that grid and refined to the analysis's tol.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ class FluxAnalysis:
     s_shaped: bool
     f3_at_half: Optional[float]
     tangency_warnings: list[float] = field(default_factory=list)
+    grid_n: int = DEFAULT_GRID_N
+    eps: float = DEFAULT_EPS
+    tol: float = 1e-12
 
 
 def _flux_rule(tape: Tape, a, b):
@@ -72,14 +79,22 @@ def pair_program(pair: ModelPair, order: int):
     return pair._programs[order]
 
 
-def f_taylor(pair: ModelPair, s: Real, order: int = 3) -> tuple:
-    """f and its first `order` derivatives at s (scalar or array in (0,1))."""
-    a = pair.m_a.taylor(s, order)
-    b = pair.m_b.taylor(1.0 - s, order)
+def _jets(pair: ModelPair, s: Real, order: int) -> tuple:
+    """The jets of m_a at s and of m_b at 1 - s, to `order`."""
+    return pair.m_a.taylor(s, order), pair.m_b.taylor(1.0 - s, order)
+
+
+def _flux_from(s: Real, a: tuple, b: tuple) -> tuple:
+    """f and its derivatives at s from the jets a, b of _jets."""
     try:
-        return _flux_program(order, isinstance(s, np.ndarray))(*a, *b)
+        return _flux_program(len(a) - 1, isinstance(s, np.ndarray))(*a, *b)
     except DomainError as exc:
         raise DomainError(f"{exc} at {point(s, exc.index)}", exc.index) from None
+
+
+def f_taylor(pair: ModelPair, s: Real, order: int = 3) -> tuple:
+    """f and its first `order` derivatives at s (scalar or array in (0,1))."""
+    return _flux_from(s, *_jets(pair, s, order))
 
 
 def f_jet(pair: ModelPair, s: Real) -> Jet3:
@@ -91,10 +106,8 @@ def f_value(pair: ModelPair, s: Real) -> Real:
     """Flux value only (order 0 of f_taylor), extended by the exact limits
     f(0) = 0 and f(1) = 1."""
     if isinstance(s, np.ndarray):
-        out = np.empty_like(s, dtype=float)
+        out = (s == 1.0).astype(float)  # f(0) = 0 and f(1) = 1; the interior follows
         interior = (s != 0.0) & (s != 1.0)
-        out[s == 0.0] = 0.0
-        out[s == 1.0] = 1.0
         if np.any(interior):
             try:
                 out[interior] = f_taylor(pair, s[interior], 0)[0]
@@ -124,15 +137,21 @@ def f2_closed(pair: ModelPair, s: Real) -> Real:
     return (h1 * m - 2.0 * m1 * h) / m ** 3
 
 
-def _first_root(pair: ModelPair, g, order: int, label: str, grid_n: int, eps: float, tol: float):
-    s = np.linspace(eps, 1.0 - eps, grid_n)
-    values = lambda t: g(pair.m_a.taylor(t, order), pair.m_b.taylor(1.0 - t, order))
-    roots = sign_changes(s, np.asarray(values(s), dtype=float), lambda t: float(values(t)), tol)
-    if not roots:
-        return None
+# the numerators of s1 and s2 from the jets of _jets, each with the order it needs
+_NUMERATORS = {
+    "s1": (1, lambda a, b: a[1] - b[1]),  # m_a'(s) - m_b'(1-s)
+    "s2": (2, lambda a, b: a[2] * b[0] - a[0] * b[2]),  # m_a''(s)*m_b(1-s) - m_a(s)*m_b''(1-s)
+}
+
+
+def _first_root(pair: ModelPair, label: str, s, jets: tuple, tol: float) -> Optional[float]:
+    """First sign change of the label's numerator sampled at s from the grid
+    jets, refined to tol on scalar jets; a warning names any further ones."""
+    order, g = _NUMERATORS[label]
+    roots = sign_changes(s, np.asarray(g(*jets), dtype=float), lambda t: float(g(*_jets(pair, t, order))), tol)
     if len(roots) > 1:
         warnings.warn(f"{label} has {len(roots)} sign changes; reporting the first", stacklevel=3)
-    return roots[0][0]
+    return roots[0][0] if roots else None
 
 
 def find_s1(pair: ModelPair, grid_n: int = 4096, eps: float = DEFAULT_EPS, tol: float = 1e-12):
@@ -140,14 +159,17 @@ def find_s1(pair: ModelPair, grid_n: int = 4096, eps: float = DEFAULT_EPS, tol: 
 
     None when there is no sign change on the clipped grid.  For admissible
     pairs the root is unique; otherwise the first bracket is refined and a
-    multiplicity warning is emitted.
+    multiplicity warning is emitted.  inflection_points finds the same root
+    on its own grid and tol.
     """
-    return _first_root(pair, lambda a, b: a[1] - b[1], 1, "s1", grid_n, eps, tol)
+    s = np.linspace(eps, 1.0 - eps, grid_n)
+    return _first_root(pair, "s1", s, _jets(pair, s, 1), tol)
 
 
 def find_s2(pair: ModelPair, grid_n: int = 4096, eps: float = DEFAULT_EPS, tol: float = 1e-12):
-    """Sign change of m_a''(s)*m_b(1-s) - m_a(s)*m_b''(1-s) (i.e. of h')."""
-    return _first_root(pair, lambda a, b: a[2] * b[0] - a[0] * b[2], 2, "s2", grid_n, eps, tol)
+    """Sign change of m_a''(s)*m_b(1-s) - m_a(s)*m_b''(1-s), i.e. of h'; see find_s1."""
+    s = np.linspace(eps, 1.0 - eps, grid_n)
+    return _first_root(pair, "s2", s, _jets(pair, s, 2), tol)
 
 
 def inflection_points(
@@ -158,7 +180,8 @@ def inflection_points(
 ) -> FluxAnalysis:
     """Locate every transversal sign change of f'' on the clipped grid.
 
-    Each bracketed sign change is refined to an interval below tol.  Grid
+    Each bracketed sign change is refined to an interval below tol.  s1 and
+    s2 (see find_s1, find_s2) come from the same grid jets and tol.  Grid
     points where |f''| < ZERO_TOL farther than two grid spacings from every
     inflection are reported as tangency warnings, not inflections.  The
     S-shaped verdict is exactly "one inflection"; f3_at_half is populated
@@ -167,24 +190,18 @@ def inflection_points(
     if grid_n < 1000:
         raise ValueError(f"grid_n must be >= 1000, got {grid_n}")
     s = np.linspace(eps, 1.0 - eps, grid_n)
-    y = np.asarray(f_taylor(pair, s, 2)[2], dtype=float)
-
-    func = lambda t: float(f_taylor(pair, t, 2)[2])
-    found = sign_changes(s, y, func, tol)
-    inflections = [Inflection(root, direction) for root, direction in found]
+    a, b = _jets(pair, s, 2)
+    y = np.asarray(_flux_from(s, a, b)[2], dtype=float)
+    found = sign_changes(s, y, lambda t: float(f_taylor(pair, t, 2)[2]), tol)
     roots = np.array([root for root, _ in found])
-
-    f3_half = None
-    if pair.m_a == pair.m_b:
-        f3_half = float(f_jet(pair, 0.5).f3)
-
     return FluxAnalysis(
-        inflections=inflections,
-        s1=find_s1(pair, eps=eps),
-        s2=find_s2(pair, eps=eps),
-        s_shaped=len(inflections) == 1,
-        f3_at_half=f3_half,
+        inflections=[Inflection(root, direction) for root, direction in found],
+        f3_at_half=float(f_jet(pair, 0.5).f3) if pair.m_a == pair.m_b else None,
+        s1=_first_root(pair, "s1", s, (a, b), tol),
+        s2=_first_root(pair, "s2", s, (a, b), tol),
+        s_shaped=len(found) == 1,
         tangency_warnings=_tangency_suspects(s, y, roots, 2.0 * (s[1] - s[0])),
+        grid_n=grid_n, eps=eps, tol=tol,
     )
 
 

@@ -137,6 +137,9 @@ class Tape:
     x/1, x+0 and x-0 are x, x*0 is 0, 0-x is -x, known operands compute here
     in the program's own arithmetic, and the rest keeps its order, so only
     zeros differ from the unfolded program (+0.0 for -0.0, 0 for 0*inf).
+    A built program runs no assignment that neither its result nor a domain
+    check reads, so a float `**` that would raise OverflowError there (as in
+    0*(1000*s)^200.5) no longer raises.
     """
 
     def __init__(self, array: bool):
@@ -179,8 +182,7 @@ class Tape:
                     name = self.let(f"_copy({name})")
                 out.append(name)
             result = tuple(out)
-        lines = self._released(result) if self.array else self.lines
-        body = "".join(f"        {line}\n" for line in lines)
+        body = "".join(f"        {line}\n" for line in self._live(result))
         src = (
             f"def make({', '.join(f'k{i}' for i in range(len(self.consts)))}):\n"
             f"    def run({', '.join(params)}):\n{body}"
@@ -189,23 +191,21 @@ class Tape:
         )
         return _maker(src)(*self.consts)
 
-    def _released(self, result: Names) -> list[str]:
-        """The lines with a `del` after the last read of each local, so that
-        an array program holds only its live intermediates."""
-        last = {}
-        for i, line in enumerate(self.lines):
-            for name in re.findall(r"\bv\d+\b", line.partition(" = ")[2] or line):
-                last[name] = i
-        dead: dict[int, list[str]] = {}
-        for name, i in last.items():
-            if name not in result:
-                dead.setdefault(i, []).append(name)
-        out = []
-        for i, line in enumerate(self.lines):
+    def _live(self, result: Names) -> list[str]:
+        """The lines that the result or a domain check reads, in one scan from
+        the end; an array program also gets a `del` after the last read of
+        each local, so that it holds only its live intermediates."""
+        live, out = set(result), []
+        for line in reversed(self.lines):
+            target, _, expr = line.partition(" = ")
+            if target[0] == "v" and target not in live:  # domain checks always stay
+                continue
+            fresh = set(re.findall(r"\bv\d+\b", expr or line)) - live
+            if fresh and self.array:
+                out.append(f"del {', '.join(sorted(fresh))}")
+            live |= fresh
             out.append(line)
-            if i in dead:
-                out.append(f"del {', '.join(dead[i])}")
-        return out
+        return out[::-1]
 
     def _known(self, value) -> str:
         if type(value) is float and value in (0.0, 1.0):

@@ -292,10 +292,16 @@ class _Parser:
         self.i += 1
         return tok
 
+    def take(self, ops: str):
+        """Consume and return the next token if it is one of the operators ops, else None."""
+        kind, val, _ = self.tokens[self.i]
+        if kind == "op" and val in ops:
+            self.i += 1
+            return val
+
     def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
+        if not self.take(op):
+            raise ParseError(f"expected {op!r}", self.peek()[2])
 
     def parse(self) -> ModelExpr:
         e = self.expr()
@@ -306,56 +312,33 @@ class _Parser:
 
     def expr(self) -> ModelExpr:
         terms = [self.term()]
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                terms.append(_negate(rhs) if val == "-" else rhs)
-            else:
-                break
+        while op := self.take("+-"):
+            rhs = self.term()
+            terms.append(_negate(rhs) if op == "-" else rhs)
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self) -> ModelExpr:
         current = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                if val == "*":
-                    if isinstance(current, Prod):
-                        current = Prod(current.factors + (rhs,))
-                    else:
-                        current = Prod((current, rhs))
-                else:
-                    current = Quot(current, rhs)
+        while op := self.take("*/"):
+            rhs = self.unary()
+            if op == "/":
+                current = Quot(current, rhs)
             else:
-                break
+                current = Prod((*current.factors, rhs) if isinstance(current, Prod) else (current, rhs))
         return current
 
     def unary(self) -> ModelExpr:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return _negate(self.unary())
-        return self.factor()
+        return _negate(self.unary()) if self.take("-") else self.factor()
 
     def factor(self) -> ModelExpr:
         base = self.base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            sign = 1.0
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "-":
-                self.next()
-                sign = -1.0
-            kind, val, pos = self.next()
-            if kind != "num":
-                raise ParseError("expected a numeric exponent after '^'", pos)
-            return Pow(base, sign * val)
-        return base
+        if not self.take("^"):
+            return base
+        sign = -1.0 if self.take("-") else 1.0
+        kind, val, pos = self.next()
+        if kind != "num":
+            raise ParseError("expected a numeric exponent after '^'", pos)
+        return Pow(base, sign * val)
 
     def base(self) -> ModelExpr:
         kind, val, pos = self.next()

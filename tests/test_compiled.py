@@ -5,6 +5,7 @@ import collections
 import functools
 import pickle
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -381,6 +382,53 @@ def test_known_zero_absorbs_an_overflowed_factor():
         assert ff.check_conditions(m).in_class_M  # `fracflow check` exited 2 on the nan
     assert np.isnan(unfolded.f0[1]) and np.isfinite(unfolded.f0[0])
     assert [c.tolist() for c in folded] == [(s * s).tolist(), (s + s).tolist(), [2.0, 2.0], [0.0, 0.0]]
+
+
+def test_dead_locals_are_not_computed(monkeypatch):
+    # the known 0 leaves exp(1000*s) and its chain-rule products unread: the
+    # program drops them, so nothing overflows and numpy has nothing to report
+    sources = []
+    maker = jet._maker.__wrapped__
+    monkeypatch.setattr(jet, "_maker", lambda src: sources.append(src) or maker(src))
+    m = ff.parse("0*exp(1000*s) + s^2")
+    s = np.array([0.25, 0.75])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in range(4):
+            assert [c.tolist() for c in m.taylor(s, order)] == [(s * s).tolist(), (s + s).tolist(), [2.0, 2.0],
+                                                                [0.0, 0.0]][:order + 1]
+            assert m.taylor(0.75, order) == (0.5625, 1.5, 2.0, 0.0)[:order + 1]
+    assert len(sources) == 8 and not [src for src in sources if "exp(" in src]
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_dead_locals_keep_their_domain_checks(order):
+    # (s - 2)^1.5 is multiplied by a known 0, but its base check still reads s - 2
+    m = ff.parse("0*(s - 2)^1.5 + s")
+    for s in (0.5, np.array([0.25, 0.5])):
+        with pytest.raises(ff.DomainError, match="non-integer power 1.5"):
+            m.taylor(s, order)
+
+
+@pytest.mark.parametrize("m", [m for _, m in TREES] + [ff.parse(t) for t in (
+    "0*exp(10*s) + s^2", "s + 0*(1 + s)^2.5*s", "(s - s)*exp(s)/(1 + s) + s^3", "0*(s/(1 + s))^3 + exp(s)")], ids=str)
+def test_dropping_dead_locals_changes_no_bit(m, monkeypatch):
+    def outputs():
+        m._programs.clear()
+        out = []
+        for order in range(4):
+            for s in (POINTS, *POINTS[:20].tolist()):
+                out.append([np.asarray(c, dtype=float).tobytes() for c in m.taylor(s, order)])
+        return out
+
+    pruned = outputs()
+    jet._maker.cache_clear()
+    monkeypatch.setattr(jet.Tape, "_live", lambda tape, result: tape.lines)  # every line, no del
+    try:
+        assert outputs() == pruned
+    finally:
+        jet._maker.cache_clear()
+        m._programs.clear()
 
 
 def _outcome(fn, s):

@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracflow as ff
+from fracflow import flux
 from fracflow.flux import (
-    DEFAULT_EPS, DEFAULT_GRID_N, ZERO_TOL, _tangency_suspects, f2_closed, f_jet, f_taylor, f_value,
-    find_s1, find_s2, inflection_points,
+    DEFAULT_EPS, DEFAULT_GRID_N, ZERO_TOL, FluxAnalysis, _tangency_suspects, f2_closed, f_jet, f_taylor,
+    f_value, find_s1, find_s2, inflection_points,
 )
 
 from conftest import draw_member, rel_close
@@ -118,6 +120,95 @@ def test_s1_absent_when_no_sign_change():
     # m_a' - m_b'(1-s) stays positive when m_a is much steeper everywhere
     pair = ff.ModelPair(ff.parse("5*s + s^2"), ff.parse("0.01*s^2"))
     assert find_s1(pair) is None
+
+
+# -- s1 and s2 of an analysis --------------------------------------------------
+
+CATALOG = ff.catalog()
+ANALYSIS_PAIRS = (
+    [(name, ff.ModelPair(m, m)) for name, m in CATALOG.items()]
+    + [(f"{a}|{b}", ff.ModelPair(CATALOG[a], CATALOG[b]))
+       for a, b in (("power_quadratic", "corey_b"), ("corey_a", "corey_b"), ("power_generic", "chierici_B3"),
+                    ("brooks_b_3_2.5", "power_quadratic"), ("counterexample_1", "counterexample_3"))]
+)
+# m_a' - m_b' = 4(s - 0.2)(s - 0.5)(s - 0.8) and m_a'' = 12s^2 - 12s + 2.64: three s1 and two s2 roots
+WIGGLY = ff.ModelPair(ff.parse("s^4 - 2*s^3 + 1.32*s^2 - 0.32*s"), ff.parse("1"))
+
+
+def _recorded(fn, *args, **kwargs):
+    """fn's result and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
+def _assert_roots_match_the_finders(pair):
+    analysis, _ = _recorded(inflection_points, pair)
+    for got, find in ((analysis.s1, find_s1), (analysis.s2, find_s2)):
+        want, _ = _recorded(find, pair)
+        assert (got is None) == (want is None), (find.__name__, got, want)
+        if got is not None:
+            assert abs(got - want) <= 2.0 * analysis.tol, (find.__name__, got, want)
+
+
+@pytest.mark.parametrize("pair", [p for _, p in ANALYSIS_PAIRS] + [WIGGLY],
+                         ids=[name for name, _ in ANALYSIS_PAIRS] + ["wiggly"])
+def test_analysis_s1_s2_equal_the_direct_finders(pair):
+    _assert_roots_match_the_finders(pair)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.1, 10.0), st.floats(1.01, 8.0), st.floats(0.1, 10.0), st.floats(1.01, 8.0))
+def test_analysis_s1_s2_equal_the_direct_finders_on_power_pairs(A, a, B, b):
+    _assert_roots_match_the_finders(ff.ModelPair(ff.power(A, a), ff.power(B, b)))
+
+
+@pytest.mark.parametrize("pair, messages", [
+    (WIGGLY, ["s1 has 3 sign changes; reporting the first", "s2 has 2 sign changes; reporting the first"]),
+    (symmetric(ff.models.COUNTEREXAMPLES[0]), ["s2 has 3 sign changes; reporting the first"]),
+    (symmetric(ff.models.COUNTEREXAMPLES[2]), ["s2 has 5 sign changes; reporting the first"]),
+    (symmetric("s^2"), []),
+])
+def test_multiplicity_warnings_are_those_of_the_direct_finders(pair, messages):
+    _, analysis_messages = _recorded(inflection_points, pair)
+    direct = _recorded(find_s1, pair)[1] + _recorded(find_s2, pair)[1]
+    assert analysis_messages == direct == messages
+
+
+def test_analysis_reports_the_first_of_several_roots():
+    analysis, _ = _recorded(inflection_points, WIGGLY)
+    assert abs(analysis.s1 - 0.2) <= 1e-9
+    assert abs(analysis.s2 - (1.0 - math.sqrt(0.12)) / 2.0) <= 1e-9
+
+
+def test_symmetric_admissible_pairs_have_s1_and_s2_at_one_half():
+    rng = np.random.default_rng(7)
+    admissible = [m for name, m in CATALOG.items() if not name.startswith("counterexample")]
+    for m in [*admissible, *(draw_member(rng) for _ in range(20))]:
+        analysis, _ = _recorded(inflection_points, ff.ModelPair(m, m))
+        for root in (analysis.s1, analysis.s2):
+            assert abs(root - 0.5) <= analysis.tol, (str(m), root)
+
+
+def test_analysis_takes_s1_and_s2_on_its_own_grid_and_tol(monkeypatch):
+    calls = []
+    original = flux.sign_changes
+    monkeypatch.setattr(flux, "sign_changes", lambda s, values, func, tol: calls.append((len(s), s[0], tol))
+                        or original(s, values, func, tol))
+    analysis, _ = _recorded(inflection_points, WIGGLY, grid_n=1500, tol=1e-9, eps=1e-4)
+    assert calls == [(1500, 1e-4, 1e-9)] * 3  # f'', s1, s2
+    assert (analysis.grid_n, analysis.eps, analysis.tol) == (1500, 1e-4, 1e-9)
+    calls.clear()
+    defaults = inflection_points(symmetric("s^2"))
+    assert calls == [(DEFAULT_GRID_N, DEFAULT_EPS, 1e-12)] * 3
+    assert (defaults.grid_n, defaults.eps, defaults.tol) == (DEFAULT_GRID_N, DEFAULT_EPS, 1e-12)
+
+
+def test_analysis_built_by_position_records_the_default_settings():
+    analysis = FluxAnalysis([], 0.5, None, False, None)
+    assert analysis.tangency_warnings == []
+    assert (analysis.grid_n, analysis.eps, analysis.tol) == (DEFAULT_GRID_N, DEFAULT_EPS, 1e-12)
 
 
 @pytest.mark.parametrize(
