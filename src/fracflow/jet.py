@@ -182,11 +182,14 @@ class Tape:
                     name = self.let(f"_copy({name})")
                 out.append(name)
             result = tuple(out)
-        body = "".join(f"        {line}\n" for line in self._live(result))
-        src = (
+        body = "".join(f"            {line}\n" for line in self._live(result))
+        src = (  # a float ** that overflows raises OverflowError; arrays get inf
             f"def make({', '.join(f'k{i}' for i in range(len(self.consts)))}):\n"
-            f"    def run({', '.join(params)}):\n{body}"
-            f"        return ({', '.join(result)},)\n"
+            f"    def run({', '.join(params)}):\n"
+            f"        try:\n{body}"
+            f"            return ({', '.join(result)},)\n"
+            "        except OverflowError:\n"
+            "            raise DomainError('float power overflow') from None\n"
             "    return run\n"
         )
         return _maker(src)(*self.consts)
@@ -306,10 +309,13 @@ class Tape:
         """a**p for a constant real exponent p.
 
         Order 0 is the plain power b**p: a non-integer power needs a
-        non-negative base, a negative power a nonzero one.  For derivatives,
-        integer exponents use repeated multiplication so that zero and
-        negative bases stay exact; non-integer exponents require a positive
-        base and go through the chain rule.
+        non-negative base, a negative power a nonzero one.  Derivatives go
+        through the chain rule.  A non-integer p needs a positive base and
+        takes each a0**(p-j) from its own `**`.  An integer 0 < p < 2**53
+        takes any base: one `**` gives a0**(p - min(3, p)), the lowest power
+        order 3 needs (so lower orders stay its exact truncation), and
+        products by a0 give the rest; a few ulps from b**p.  A negative
+        integer p is 1 / a**-p.
         """
         order = len(a) - 1
         if order == 0:
@@ -318,28 +324,22 @@ class Tape:
             if p < 0:
                 self.check(a[0], "==", f"zero raised to negative power {p}")
             return (self._name(self._op(a[0], "**", self._known(p))),)
-        if p == round(p):
-            n = int(round(p))
-            if n < 0:
-                return self.div(_UNIT[:order + 1], self.pow(a, -p))
-            result, base = _UNIT[:order + 1], a
-            while n > 0:
-                if n & 1:
-                    result = self.mul(result, base)
-                n >>= 1
-                if n:
-                    base = self.mul(base, base)
-            return result
-        self.check(a[0], "<=", f"non-integer power {p} of a non-positive value")
-        # phi_j = p*(p-1)*...*(p-j+1) * a0**(p-j); the coefficient and the
-        # exponent are folded into constants
-        coeff, phis = 1.0, []
-        for j in range(order + 1):
-            power = self._op(a[0], "**", self._known(p - j if j else p))
-            if j:
-                coeff = p if j == 1 else coeff * (p - (j - 1.0))
-                power = self._op(self._known(coeff), "*", power)
-            phis.append(self._name(power))
+        if p == round(p) and p < 0:
+            return self.div(_UNIT[:order + 1], self.pow(a, -p))
+        if p == round(p) and p < 2.0 ** 53:  # beyond, p - 3 rounds to an even float
+            top = int(min(3, p))
+            powers = [self._name(self._op(a[0], "**", self._known(float(p - top)))) if p > top else "1.0"]
+            for _ in range(top):
+                powers.insert(0, self._name(self._op(powers[0], "*", a[0])))
+            powers += ["0.0"] * (3 - top)  # a0**(p-j) for j > p, whose coefficient is 0
+        else:
+            self.check(a[0], "<=", f"non-integer power {p} of a non-positive value")
+            powers = [self._op(a[0], "**", self._known(p - j if j else p)) for j in range(order + 1)]
+        # phi_j = p*(p-1)*...*(p-j+1) * a0**(p-j), the coefficient folded into a constant
+        coeff, phis = 1.0, [self._name(powers[0])]
+        for j in range(1, order + 1):
+            coeff *= p - (j - 1.0)
+            phis.append(self._name(self._op(self._known(coeff), "*", powers[j])))
         return self._rule(_CHAIN, order, p=tuple(phis), a=a)
 
     def exp(self, a: Names) -> Names:

@@ -264,3 +264,12 @@ def test_overflowing_inputs_print_only_the_error_line(argv, capsys):
     assert code == 2 and not out
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert err.startswith("error: non-finite") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("states", [("0.2", "0"), ("0", "0.2")])
+def test_riemann_scalar_power_overflow_exits_two(states, capsys):
+    # (1000*(1 - s))^201 overflows a float ** at the hull's scalar probes
+    code, out, err = run(capsys, "riemann", "s^2", "(1000*s)^201", *states)
+    assert code == 2 and not out
+    assert err.startswith("error: float power overflow while evaluating (1000*s)^201 at s=")
+    assert err.count("\n") == 1

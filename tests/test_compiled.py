@@ -3,6 +3,7 @@ and the hard inputs at the domain boundary."""
 
 import collections
 import functools
+import math
 import pickle
 import re
 import warnings
@@ -49,7 +50,7 @@ def test_orders_truncate_order_three_exactly(name, m):
 @pytest.mark.parametrize("name,m", TREES)
 def test_order_zero_is_the_value(name, m):
     # order 0 follows the plain value rules (b**p for powers), which round
-    # differently from the jet's repeated multiplication
+    # differently from the jet's chain rule
     for s in POINTS[:50].tolist():
         assert m.taylor(s, 0) == (m.eval(s),)
         assert rel_close(m.eval(s), m.taylor(s, 3)[0], 1e-13)
@@ -81,6 +82,90 @@ def test_orders_match_mpmath(name, m):
                 got = m.taylor(s, k)
                 for j in range(k + 1):
                     assert rel_close(float(got[j]), float(exact[j]), 1e-9, floor=1e-12), (name, k, j, s)
+
+
+# base text -> (the base as a program rounds it, its exact slope in s)
+INT_POWER_BASES = {
+    "s": (lambda s: s, 1),
+    "1 - s": (lambda s: 1.0 - s, -1),
+    "2*s - 1": (lambda s: 2.0 * s - 1.0, 2),  # negative below 1/2
+    "s - s": (lambda s: s - s, 0),  # an exact zero that is not known when compiled
+}
+# one ** (at most 1 ulp), three products by the base and one by the
+# coefficient (half an ulp each); products by the slope are exact
+INT_POWER_RTOL = 4 * 2.0 ** -52
+TINY = np.finfo(float).tiny
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 60), st.sampled_from(sorted(INT_POWER_BASES)), st.integers(0, 3),
+       st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_integer_powers_match_mpmath(p, base, order, points):
+    """(base)^p against the exact derivatives p*(p-1)*...*(p-j+1)*a0^(p-j)*slope^j
+    at the base a0 as the program rounds it: within INT_POWER_RTOL where the
+    exact value and the power a0^(p-j) are normal floats, exactly zero where
+    the exact value is zero, and no error at zero or negative bases."""
+    to_base, slope = INT_POWER_BASES[base]
+    m = ff.parse(f"({base})^{p}")
+    points = [0.0, 0.5, 1.0] + points  # the zero of each base
+    array = m.taylor(np.array(points), order)
+    for i, s in enumerate(points):
+        a0 = mpmath.mpf(to_base(s))
+        scalar = m.taylor(s, order)
+        for j in range(order + 1):
+            coeff = math.prod(range(p - j + 1, p + 1))  # 0 for j > p
+            power = a0 ** (p - j) if coeff else mpmath.mpf(0)
+            exact = coeff * power * slope ** j
+            for got in (scalar[j], float(array[j][i])):
+                if exact == 0:
+                    assert got == 0.0, (base, p, order, j, s, got)
+                elif TINY <= abs(exact) and TINY <= abs(power):
+                    assert abs(got - exact) <= INT_POWER_RTOL * abs(exact), (base, p, order, j, s, got)
+
+
+def test_integer_powers_keep_their_parity_up_to_two_to_the_53():
+    # at and beyond 2**53 every float is even and p - 3 rounds, so the
+    # chain rule would give (-1)**p the wrong sign: a negative base is refused
+    m = models.Pow(ff.parse("2*s - 1"), 2.0 ** 53 - 1)
+    assert m.taylor(0.0, 3) == (-1.0, 2.0 * (2.0 ** 53 - 1), -4.0 * (2.0 ** 53 - 1) * (2.0 ** 53 - 2),
+                                8.0 * (2.0 ** 53 - 1) * (2.0 ** 53 - 2) * (2.0 ** 53 - 3))
+    m = models.Pow(ff.parse("2*s - 1"), 2.0 ** 53)
+    assert m.taylor(0.0, 0) == (1.0,)
+    with pytest.raises(ff.DomainError, match="of a non-positive value"):
+        m.taylor(0.0, 1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_negative_integer_power_at_zero_keeps_its_message(order):
+    message = ("zero raised to negative power -2.0" if order == 0
+               else "division by a jet with zero value") + " while evaluating s^-2 at "
+    m = ff.parse("s^-2")
+    with pytest.raises(ff.DomainError) as info:
+        m.taylor(0.0, order)
+    assert str(info.value) == message + "s=0.0"
+    with pytest.raises(ff.DomainError) as info:
+        m.taylor(np.array([0.5, 0.0]), order)
+    assert str(info.value) == message + "s[1]=0.0" and info.value.index == 1
+
+
+@pytest.mark.parametrize("array", [False, True])
+def test_integer_power_programs_take_one_float_power(array):
+    # s^30 at order 2: one ** for s^27, then s^28 .. s^30 as products
+    tape = jet.Tape(array)
+    models._emit(tape, ff.parse(models.COUNTEREXAMPLES[2]), "s", 2)
+    powers = [line for line in tape.lines if "**" in line]
+    assert len(powers) == 4  # s^1.1, s^0.1 and s^-0.9, and s^27
+    assert sum(" = " in line and not line.startswith("bad") for line in tape.lines) <= 18
+
+
+def test_scalar_power_overflow_is_a_domain_error_at_the_point():
+    m = ff.parse("(1000*s)^201")
+    for order in range(4):
+        with pytest.raises(ff.DomainError, match=r"^float power overflow while evaluating "
+                                                 r"\(1000\*s\)\^201 at s=0\.8$"):
+            m.taylor(0.8, order)
+        with np.errstate(over="ignore"):  # numpy's power overflows to inf
+            assert np.isinf(m.taylor(np.array([0.8]), order)[0]).all()
 
 
 def test_zero_base_under_noninteger_power():
@@ -243,22 +328,13 @@ CONSTANT_SUBTREES = [ff.parse(t) for t in ("2*3", "s^0", "(1 + s)^0", "0*s", "s 
 
 
 def _power(a, p):
-    """a**p as Tape.pow takes it, with integer powers multiplied out from a
-    unit jet of real ones and zeros, so that nothing in the oracle folds."""
-    if p != round(p):
+    """a**p as Tape.pow takes it: the one-rule pow program, with a negative
+    integer power taken as 1 over it from a unit jet of real ones and zeros,
+    so that nothing in the oracle folds."""
+    if p != round(p) or p >= 0:
         return jet.pow_const(a, p)
     one = jet.constant(np.ones_like(a.f0) if isinstance(a.f0, np.ndarray) else 1.0)
-    n = int(round(p))
-    if n < 0:
-        return jet.div(one, _power(a, -p))
-    result, base = one, a
-    while n > 0:
-        if n & 1:
-            result = jet.mul(result, base)
-        n >>= 1
-        if n:
-            base = jet.mul(base, base)
-    return result
+    return jet.div(one, _power(a, -p))
 
 
 def _unfolded(m, s):
@@ -285,7 +361,10 @@ def _jet_outcome(fn, s):
     try:
         return tuple(fn())
     except (ArithmeticError, ValueError) as exc:
-        return type(exc).__name__, getattr(exc, "index", None) if isinstance(s, np.ndarray) else None
+        # an overflowing float power is a DomainError of a line that a lower
+        # order may not run, unlike a domain check, which every order keeps
+        name = "overflow" if "float power overflow" in str(exc) else type(exc).__name__
+        return name, getattr(exc, "index", None) if isinstance(s, np.ndarray) else None
 
 
 def _assert_folded(got, want, invalid):
