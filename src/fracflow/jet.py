@@ -18,6 +18,7 @@ numpy arrays (for whole-grid evaluation); every rule is elementwise.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -118,7 +119,9 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
 def _maker(src: str) -> Callable:
     # Constants and messages are arguments of `make`, so trees of one shape
     # (one source text) share one code object and differ only in closures.
-    namespace = {"np": np, "exp": np.exp, "DomainError": DomainError,
+    # Scalar programs call math_exp and array programs exp, so the two kinds
+    # never share a source.
+    namespace = {"np": np, "exp": np.exp, "math_exp": math.exp, "DomainError": DomainError,
                  "_ones_like": _ones_like, "_zeros_like": _zeros_like, "_copy": _copy}
     exec(compile(src, "<jet tape>", "exec"), namespace)
     return namespace["make"]
@@ -127,10 +130,10 @@ def _maker(src: str) -> Callable:
 class Tape:
     """A straight-line program under construction, one local per component.
 
-    With array=False the program runs on plain floats and domain checks are
-    float comparisons.  With array=True components are numpy arrays (or
-    anything np.asarray takes) and a failed check reports the flat index of
-    the first failing element.  The rules take jets as tuples of component
+    With array=False the program runs on plain floats, with math.exp, and
+    domain checks are float comparisons.  With array=True components are
+    numpy arrays (or anything np.asarray takes) and a failed check reports
+    the flat index of the first failing element.  The rules take jets as tuples of component
     names and return the names of their result; the order is the length of
     the tuples minus one.  Components known as they are emitted (`known`:
     seeds' 1 and 0s, constants, and what rules make of those) fold: x*1,
@@ -183,13 +186,13 @@ class Tape:
                 out.append(name)
             result = tuple(out)
         body = "".join(f"            {line}\n" for line in self._live(result))
-        src = (  # a float ** that overflows raises OverflowError; arrays get inf
+        src = (  # a float ** or math.exp that overflows raises OverflowError; arrays get inf
             f"def make({', '.join(f'k{i}' for i in range(len(self.consts)))}):\n"
             f"    def run({', '.join(params)}):\n"
             f"        try:\n{body}"
             f"            return ({', '.join(result)},)\n"
             "        except OverflowError:\n"
-            "            raise DomainError('float power overflow') from None\n"
+            "            raise DomainError('float overflow') from None\n"
             "    return run\n"
         )
         return _maker(src)(*self.consts)
@@ -314,7 +317,8 @@ class Tape:
         takes each a0**(p-j) from its own `**`.  An integer 0 < p < 2**53
         takes any base: one `**` gives a0**(p - min(3, p)), the lowest power
         order 3 needs (so lower orders stay its exact truncation), and
-        products by a0 give the rest; a few ulps from b**p.  A negative
+        products by a0 give the rest; a few ulps from b**p.  An integer
+        p >= 2**53 takes the non-integer rule and its domain.  A negative
         integer p is 1 / a**-p.
         """
         order = len(a) - 1
@@ -333,7 +337,10 @@ class Tape:
                 powers.insert(0, self._name(self._op(powers[0], "*", a[0])))
             powers += ["0.0"] * (3 - top)  # a0**(p-j) for j > p, whose coefficient is 0
         else:
-            self.check(a[0], "<=", f"non-integer power {p} of a non-positive value")
+            message = (f"non-integer power {p} of a non-positive value" if p != round(p) else
+                       f"power {p} of a non-positive value (an integer from 2**53 on is too large"
+                       " for the exact integer rule)")
+            self.check(a[0], "<=", message)
             powers = [self._op(a[0], "**", self._known(p - j if j else p)) for j in range(order + 1)]
         # phi_j = p*(p-1)*...*(p-j+1) * a0**(p-j), the coefficient folded into a constant
         coeff, phis = 1.0, [self._name(powers[0])]
@@ -343,8 +350,10 @@ class Tape:
         return self._rule(_CHAIN, order, p=tuple(phis), a=a)
 
     def exp(self, a: Names) -> Names:
-        known = self.array and a[0] in self.known  # a float program runs its own exp
-        e = self._known(self._fold(np.exp, self.known[a[0]])) if known else self.let(f"exp({a[0]})")
+        """exp(a); a known a0 folds unless math.exp overflows, which the float
+        program then raises as it runs."""
+        value = self._fold(np.exp if self.array else math.exp, self.known[a[0]]) if a[0] in self.known else None
+        e = self.let(f"{'exp' if self.array else 'math_exp'}({a[0]})") if value is None else self._known(value)
         return self._rule(_CHAIN, len(a) - 1, p=(e,) * len(a), a=a)
 
 

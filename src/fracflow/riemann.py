@@ -10,12 +10,13 @@ sample of the graph; hull edges joining adjacent samples are "contact"
 edges, longer edges are chords whose tangency points are then refined
 against the exact derivative, since sampling alone misclassifies
 near-tangential contact.  Only the edges that skip samples are tested
-against the curve; each run of adjacent edges becomes one arc.  Before the
-chain runs, one numpy pass drops every interior sample whose cross product
-with its two neighbours is < 0: it lies above its neighbours' chord and is
-never a hull vertex.  Through a run of neighbouring samples whose cross
-products are > 0, the chain's cross tests are those same products, so it
-appends the run without them.
+against the curve, all in one array pass over seven interior points each;
+each run of adjacent edges becomes one arc.  Before the chain runs, one
+numpy pass drops every interior sample whose cross product with its two
+neighbours is < 0: it lies above its neighbours' chord and is never a hull
+vertex.  Through a run of neighbouring samples whose cross products are
+> 0, the chain's cross tests are those same products, so it appends the
+run without them.
 
 Each curve holds scalar straight-line programs for f and f' (for a pair:
 m_a at s and m_b at 1 - s fused into one program), bit for bit equal to
@@ -32,7 +33,7 @@ end states, which are exact roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Union
 
@@ -155,9 +156,13 @@ class WaveFan:
     s_right: float
     waves: list[Wave]
     flux: object  # curve used for rarefaction inversion
+    # what solve and evaluate used, recorded for readers; not settable per fan
+    samples: int = field(default=DEFAULT_SAMPLES, init=False)  # the hull's samples + 1 flux values
+    refine_tol: float = field(default=REFINE_TOL, init=False)  # tangency refinement of chord ends
+    invert_tol: float = field(default=INVERT_TOL, init=False)  # rarefaction inversion in evaluate
 
 
-def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
+def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Lower hull of the points (xs[i], ys[i]), xs ascending, by the monotone
     chain over the ends and the samples whose cross product with their two
     neighbours is >= 0.  Where the top two vertices are neighbours, the
@@ -191,7 +196,20 @@ def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
             hull.extend(range(i + 1, run_end[i] + 1))
             i = run_end[i]
         i += 1
-    return index[hull].tolist()
+    return index[hull]
+
+
+def _chords(value, x: np.ndarray, edges: np.ndarray, dev_tol: float) -> list[int]:
+    """The edges k in `edges` (from x[k] to x[k + 1]) where value leaves the
+    line through value(x[k]) and value(x[k + 1]) by more than dev_tol, or by
+    NaN, at one of 7 interior points; all edges in one array pass."""
+    lo, hi = x[edges], x[edges + 1]
+    ts = np.linspace(lo, hi, 9)[1:-1]  # row i: the i-th interior point of every edge
+    f_lo = np.array([value(t) for t in lo.tolist()], dtype=float)
+    f_hi = np.array([value(t) for t in hi.tolist()], dtype=float)
+    line = f_lo + (ts - lo) / (hi - lo) * (f_hi - f_lo)
+    dev = np.max(np.abs(np.asarray(value(ts)) - line), axis=0)
+    return edges[~(dev <= dev_tol)].tolist()
 
 
 def envelope(flux, a: float, b: float, orientation: str):
@@ -223,18 +241,12 @@ def envelope(flux, a: float, b: float, orientation: str):
     # contact structure from flat (e.g. underflowed) stretches, not a shock
     dev_tol = 1e-12 * max(1.0, float(np.max(np.abs(ys))))
 
-    def _chord_deviation(lo: float, hi: float) -> float:
-        ts = np.linspace(lo, hi, 9)[1:-1]
-        f_lo, f_hi = value(lo), value(hi)
-        line = f_lo + (ts - lo) / (hi - lo) * (f_hi - f_lo)
-        return float(np.max(np.abs(np.asarray(value(ts)) - line)))
-
     # classify hull edges: one joining adjacent samples, or staying within
     # dev_tol of the curve, is contact; runs of contact edges merge into arcs.
-    # Only the edges that skip samples can be chords (a NaN deviation is one).
-    x = xs[hull].tolist()
-    chords = [k for k in np.flatnonzero(np.diff(hull) > 1).tolist()
-              if not _chord_deviation(x[k], x[k + 1]) <= dev_tol]
+    # Only the edges that skip samples can be chords.
+    hull_x = xs[hull]
+    chords = _chords(value, hull_x, np.flatnonzero(np.diff(hull) > 1), dev_tol)
+    x = hull_x.tolist()
     raw: list[tuple[str, float, float]] = []
     start = 0  # first edge of the current contact run
     for k in chords + [len(x) - 1]:

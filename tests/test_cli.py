@@ -271,5 +271,18 @@ def test_riemann_scalar_power_overflow_exits_two(states, capsys):
     # (1000*(1 - s))^201 overflows a float ** at the hull's scalar probes
     code, out, err = run(capsys, "riemann", "s^2", "(1000*s)^201", *states)
     assert code == 2 and not out
-    assert err.startswith("error: float power overflow while evaluating (1000*s)^201 at s=")
+    assert err.startswith("error: float overflow while evaluating (1000*s)^201 at s=")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("states", [("0.2", "0"), ("0", "0.2")])
+def test_riemann_scalar_exp_overflow_exits_two(states, capsys):
+    # exp(1000*(1 - s)) leaves the flux samples finite (s^2/(s^2 + inf) = 0),
+    # but a scalar flux evaluation overflows math.exp, which raises
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "riemann", "s^2", "exp(1000*s)", *states)
+    assert code == 2 and not out
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err.startswith("error: float overflow while evaluating exp(1000*s) at s=")
     assert err.count("\n") == 1

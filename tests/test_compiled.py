@@ -131,8 +131,10 @@ def test_integer_powers_keep_their_parity_up_to_two_to_the_53():
                                 8.0 * (2.0 ** 53 - 1) * (2.0 ** 53 - 2) * (2.0 ** 53 - 3))
     m = models.Pow(ff.parse("2*s - 1"), 2.0 ** 53)
     assert m.taylor(0.0, 0) == (1.0,)
-    with pytest.raises(ff.DomainError, match="of a non-positive value"):
+    with pytest.raises(ff.DomainError, match="of a non-positive value") as info:
         m.taylor(0.0, 1)
+    assert str(info.value).startswith("power 9007199254740992.0 of a non-positive value (an integer from "
+                                      "2**53 on is too large for the exact integer rule) while evaluating")
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -161,11 +163,42 @@ def test_integer_power_programs_take_one_float_power(array):
 def test_scalar_power_overflow_is_a_domain_error_at_the_point():
     m = ff.parse("(1000*s)^201")
     for order in range(4):
-        with pytest.raises(ff.DomainError, match=r"^float power overflow while evaluating "
+        with pytest.raises(ff.DomainError, match=r"^float overflow while evaluating "
                                                  r"\(1000\*s\)\^201 at s=0\.8$"):
             m.taylor(0.8, order)
         with np.errstate(over="ignore"):  # numpy's power overflows to inf
             assert np.isinf(m.taylor(np.array([0.8]), order)[0]).all()
+
+
+def test_scalar_exp_overflow_is_a_domain_error_at_the_point():
+    # math.exp raises OverflowError where numpy's exp gave inf and a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ff.DomainError, match=r"^float overflow while evaluating exp\(1000\*s\) at s=0\.9$"):
+            ff.parse("exp(1000*s)").taylor(0.9, 1)
+
+
+def _plain_floats(fn, s):
+    """Whether every component fn(s) returns is a Python float (True where
+    fn raises DomainError)."""
+    try:
+        out = fn(s)
+    except ff.DomainError:
+        return True
+    return all(type(c) is float for c in (out if isinstance(out, tuple) else (out,)))
+
+
+def _scalar_results(m_a, m_b):
+    """Every scalar taylor order of m_a and m_b, and the pair's curve value and slope."""
+    curve = riemann.PairFlux(ff.ModelPair(m_a, m_b))
+    return [curve.value, curve.deriv] + [functools.partial(m.taylor, order=k) for m in (m_a, m_b) for k in range(4)]
+
+
+@pytest.mark.parametrize("name,m", TREES)
+def test_scalar_programs_compute_in_plain_floats(name, m):
+    # a numpy scalar (np.exp's np.float64) would turn every later operation into numpy arithmetic
+    for s in POINTS[::20].tolist():
+        assert all(_plain_floats(fn, s) for fn in _scalar_results(m, m)), name
 
 
 def test_zero_base_under_noninteger_power():
@@ -337,6 +370,20 @@ def _power(a, p):
     return jet.div(one, _power(a, -p))
 
 
+def _exp(a):
+    """exp(a) as Tape.exp takes it: numpy's exp on arrays; on floats
+    math.exp, whose overflow the programs raise as a DomainError, and the
+    chain rule's rows written out term by term."""
+    if isinstance(a.f0, np.ndarray):
+        return jet.exp_jet(a)
+    try:
+        e = math.exp(a.f0)
+    except OverflowError:
+        raise ff.DomainError("float overflow") from None
+    return jet.Jet3(e, e * a.f1, e * a.f1 * a.f1 + e * a.f2,
+                    e * a.f1 ** 3 + 3.0 * e * a.f1 * a.f2 + e * a.f3)
+
+
 def _unfolded(m, s):
     """Order-3 jet of m composed node by node from single-rule programs whose
     operands are all parameters: the ones and zeros of seeds and constants are
@@ -353,7 +400,7 @@ def _unfolded(m, s):
         return jet.div(_unfolded(m.num, s), _unfolded(m.den, s))
     if isinstance(m, models.Pow):
         return _power(_unfolded(m.base, s), m.exponent)
-    return jet.exp_jet(_unfolded(m.arg, s))
+    return _exp(_unfolded(m.arg, s))
 
 
 def _jet_outcome(fn, s):
@@ -361,9 +408,9 @@ def _jet_outcome(fn, s):
     try:
         return tuple(fn())
     except (ArithmeticError, ValueError) as exc:
-        # an overflowing float power is a DomainError of a line that a lower
-        # order may not run, unlike a domain check, which every order keeps
-        name = "overflow" if "float power overflow" in str(exc) else type(exc).__name__
+        # an overflowing float power or exp is a DomainError of a line that a
+        # lower order may not run, unlike a domain check, which every order keeps
+        name = "overflow" if "float overflow" in str(exc) else type(exc).__name__
         return name, getattr(exc, "index", None) if isinstance(s, np.ndarray) else None
 
 
@@ -425,21 +472,26 @@ RULE_POINTS = np.random.default_rng(11).uniform(-2.0, 2.0, 64)
                 min_size=8, max_size=8))
 def test_each_rule_folds_like_its_unfolded_program(rule, order, array, values):
     """One rule on jets whose components are known (a value) or parameters
-    (None), folded, against the unfolded rule fed the known values at run time."""
+    (None), folded, against the unfolded rule of the same kind of program (a
+    scalar one takes math.exp) fed the known values at run time."""
     name, n_jets, params = rule
     tape = jet.Tape(array)
     jets = [tuple(f"x{4 * i + j}" if values[4 * i + j] is None else tape._known(values[4 * i + j])
                   for j in range(order + 1)) for i in range(n_jets)]
     unknown = [c for jet_ in jets for c in jet_ if c.startswith("x")] or ["x0"]
     folded = tape.build(unknown, getattr(tape, name)(*jets, *params))
-    unfolded = jet._program(name, n_jets, *params)
+    run = unfolded = jet._program(name, n_jets, *params)  # an array program: numpy probes it for invalid operations
+    if not array:
+        scalar = jet.Tape(False)
+        comps = [tuple(f"x{4 * i + j}" for j in range(4)) for i in range(n_jets)]
+        run = scalar.build([c for jet_ in comps for c in jet_], getattr(scalar, name)(*comps, *params))
     for s in ([RULE_POINTS] if array else RULE_POINTS[::16].tolist()):
         inputs = [s + 0.5 * k for k in range(4 * n_jets)]
         one = np.ones_like(s) if array else 1.0
         runtime = [inputs[k] if v is None else v * one for k, v in enumerate(values[:4 * n_jets])]
         invalid = _meets_invalid(unfolded, *runtime)
         with np.errstate(all="ignore"):
-            want = _jet_outcome(lambda: unfolded(*runtime), s)
+            want = _jet_outcome(lambda: run(*runtime), s)
             got = _jet_outcome(lambda: folded(*(inputs[int(c[1:])] for c in unknown)), s)
         if isinstance(want[0], str) or isinstance(got[0], str):
             if (order == 3 or want[0] == "DomainError") and not invalid:
@@ -539,6 +591,13 @@ def test_curve_programs_equal_the_taylor_route_bit_for_bit(m_a, m_b, s):
     assert _outcome(curve.value, s) == _outcome(functools.partial(ff.f_value, pair), s)
     expr = riemann.ExprFlux(m_a)
     assert _outcome(expr.deriv, s) == _outcome(functools.partial(_clipped_slope, m_a.taylor), s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees(), _trees(leaves=st.sampled_from(CONSTANT_SUBTREES), exponents=[-2.0, 0.0, 3.0, -1.5, 1.1]),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_drawn_scalar_programs_compute_in_plain_floats(m_a, m_b, s):
+    assert all(_plain_floats(fn, s) for fn in _scalar_results(m_a, m_b))
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0, 0.5, riemann._CLIP, 0.3])

@@ -1,5 +1,6 @@
 """Envelope construction, wave fans, and self-similar profiles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -429,11 +430,11 @@ HULL_CASES = [
 
 
 def test_prefiltered_hull_keeps_every_vertex_of_small_inputs():
-    assert rm._lower_hull_indices(np.array([0.0]), np.array([1.0])) == [0]
-    assert rm._lower_hull_indices(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == [0, 1]
+    assert rm._lower_hull_indices(np.array([0.0]), np.array([1.0])).tolist() == [0]
+    assert rm._lower_hull_indices(np.array([0.0, 1.0]), np.array([1.0, 0.0])).tolist() == [0, 1]
     xs = np.linspace(0.0, 1.0, 9)
     for ys in (xs ** 2, -xs ** 2, np.sin(7 * xs), np.zeros_like(xs)):
-        assert rm._lower_hull_indices(xs, ys) == plain_lower_hull(xs, ys)
+        assert rm._lower_hull_indices(xs, ys).tolist() == plain_lower_hull(xs, ys)
 
 
 def _hull_inputs():
@@ -465,7 +466,7 @@ HULL_INPUTS = _hull_inputs()
 @pytest.mark.parametrize("orientation", ["convex_lower", "concave_upper"])
 def test_prefiltered_hull_matches_the_plain_chain(name, xs, ys, orientation):
     sign = 1.0 if orientation == "convex_lower" else -1.0
-    assert rm._lower_hull_indices(xs, sign * ys) == plain_lower_hull(xs, sign * ys)
+    assert rm._lower_hull_indices(xs, sign * ys).tolist() == plain_lower_hull(xs, sign * ys)
 
 
 def scipy_lower_hull(xs, ys):
@@ -484,7 +485,104 @@ def test_hull_vertices_match_qhull_in_general_position(seed):
     xs = np.sort(rng.uniform(0.0, 1.0, n))
     # from scattered points (a short hull) to a noisy convex curve (long runs)
     ys = (xs - 0.5) ** 2 * 10.0 ** rng.uniform(-2.0, 2.0) + 10.0 ** rng.uniform(-6.0, 0.0) * rng.normal(size=n)
-    assert rm._lower_hull_indices(xs, ys) == scipy_lower_hull(xs, ys)
+    assert rm._lower_hull_indices(xs, ys).tolist() == scipy_lower_hull(xs, ys)
+
+
+# -- chord test ---------------------------------------------------------------
+
+def per_chord_edges(value, x, edges, dev_tol):
+    """The envelope's chord test one edge at a time: the edge from x[k] to
+    x[k + 1] is a chord where value leaves the line through its ends by more
+    than dev_tol, or by NaN, at one of 7 interior points."""
+    out = []
+    for k in edges.tolist():
+        lo, hi = float(x[k]), float(x[k + 1])
+        ts = np.linspace(lo, hi, 9)[1:-1]
+        f_lo, f_hi = value(lo), value(hi)
+        line = f_lo + (ts - lo) / (hi - lo) * (f_hi - f_lo)
+        if not float(np.max(np.abs(np.asarray(value(ts)) - line))) <= dev_tol:
+            out.append(k)
+    return out
+
+
+class Holed:
+    """A curve that is NaN at the points `holes` (none of them a flux sample)."""
+
+    def __init__(self, curve, holes):
+        self.curve, self.holes = curve, holes
+
+    def value(self, s):
+        v = np.where(np.isin(s, self.holes), np.nan, self.curve.value(s))
+        return v if isinstance(s, np.ndarray) else float(v)
+
+    def deriv(self, s):
+        return self.curve.deriv(s)
+
+
+def _holed_underflow(i):
+    """exp(-30/s) on [0.01, 1] with a hole at the i-th of the 7 interior points
+    of the hull edge that spans its underflowed zeros: that edge's deviation
+    is NaN."""
+    curve = rm.ExprFlux(ff.parse("exp(-30/s)"))
+    xs = np.linspace(0.01, 1.0, rm.DEFAULT_SAMPLES + 1)
+    hull = rm._lower_hull_indices(xs, curve.value(xs))
+    k = int(np.flatnonzero(np.diff(hull) > 1)[0])
+    hole = np.linspace(xs[hull[k]], xs[hull[k + 1]], 9)[i]
+    assert hole not in xs
+    return Holed(curve, [hole])
+
+
+def _cubic(c):
+    return rm.ExprFlux(ff.parse(f"{c}*s*(s - 0.5)*(s - 1)"))
+
+
+CE3 = ff.models.parse(ff.models.COUNTEREXAMPLES[2])
+CHIERICI = ff.chierici(1.0, 3.0, 1.0)
+# (name, curve, a, b, orientation, chords found)
+CHORD_CASES = [
+    ("flat", rm.ExprFlux(ff.parse("0.5")), 0.01, 1.0, "convex_lower", 0),
+    ("underflowed", rm.ExprFlux(ff.parse("exp(-30/s)")), 0.01, 1.0, "convex_lower", 0),
+    ("underflowed, concave", rm.ExprFlux(ff.parse("exp(-30/s)")), 0.01, 1.0, "concave_upper", 0),
+    ("underflowed pair", ff.ModelPair(CHIERICI, CHIERICI), 0.0, 1.0, "concave_upper", 1),
+    # deviations 0.58 and 0.62 dev_tol, then 1.16 and 1.24 dev_tol
+    ("near-tangent within tol", _cubic(1e-11), 0.01, 1.0, "convex_lower", 0),
+    ("near-tangent within tol, concave", _cubic(1e-11), 0.01, 1.0, "concave_upper", 0),
+    ("near-tangent past tol", _cubic(2e-11), 0.01, 1.0, "convex_lower", 1),
+    ("near-tangent past tol, concave", _cubic(2e-11), 0.01, 1.0, "concave_upper", 1),
+    ("CE3 tangent chord", ff.ModelPair(CE3, CE3), 0.0, 1.0, "convex_lower", 1),
+    ("corey tangent chord", ff.ModelPair(ff.corey_a(), ff.corey_b()), 0.0, 1.0, "concave_upper", 1),
+    ("NaN deviation, first point", _holed_underflow(1), 0.01, 1.0, "convex_lower", 1),
+    ("NaN deviation, last point", _holed_underflow(7), 0.01, 1.0, "convex_lower", 1),
+]
+
+
+@pytest.mark.parametrize("name,curve,a,b,orientation,n_chords", CHORD_CASES, ids=[c[0] for c in CHORD_CASES])
+def test_one_pass_chord_test_gives_the_per_chord_pieces(name, curve, a, b, orientation, n_chords, monkeypatch):
+    one_pass, seen = rm._chords, []
+
+    def per_chord(*args):
+        want = per_chord_edges(*args)
+        assert one_pass(*args) == want
+        seen.append((len(args[2]), want))
+        return want
+
+    pieces = rm.envelope(curve, a, b, orientation)
+    monkeypatch.setattr(rm, "_chords", per_chord)
+    assert rm.envelope(curve, a, b, orientation) == pieces
+    [(n_edges, chords)] = seen
+    assert n_edges and len(chords) == n_chords
+
+
+def test_fan_records_its_samples_and_tolerances():
+    pair = quadratic_pair()
+    for s_L, s_R in ((1.0, 0.0), (0.5, 0.5)):
+        fan = rm.solve(rm.RiemannProblem(s_L, s_R, pair))
+        assert (fan.samples, fan.refine_tol, fan.invert_tol) == (rm.DEFAULT_SAMPLES, rm.REFINE_TOL, rm.INVERT_TOL)
+    # they record the module's settings; no fan is built with others
+    with pytest.raises(TypeError):
+        rm.WaveFan(1.0, 0.0, fan.waves, fan.flux, rm.DEFAULT_SAMPLES)
+    with pytest.raises(ValueError):
+        dataclasses.replace(fan, invert_tol=1e-3)
 
 
 # -- finite-volume oracle -------------------------------------------------------
