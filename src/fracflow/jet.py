@@ -89,7 +89,9 @@ def _copy(x: Real) -> Real:
 
 
 # Component j of each rule; aj, bj: operand components, cj: result components
-# already computed, pj: derivatives of the outer function; x^3 is x ** 3.
+# already computed, pj: derivatives of the outer function.  Rows hold no **:
+# a1^3 is a1*a1*a1, since numpy 2.4.6's x**3 on a negative base (as a1 = -1/s^2
+# of (1-s)/s is) took ~100x the time of x*x*x on an AVX-512 x86-64 host.
 _LEIBNIZ = (
     "a0*b0",
     "a1*b0 + a0*b1",
@@ -108,7 +110,7 @@ _CHAIN = (
     "p0",
     "p1*a1",
     "p2*a1*a1 + p1*a2",
-    "p3*a1^3 + 3.0*p2*a1*a2 + p1*a3",
+    "p3*a1*a1*a1 + 3.0*p2*a1*a2 + p1*a3",
 )
 _UNIT = ("1.0", "0.0", "0.0", "0.0")  # the jet of 1
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
@@ -149,7 +151,7 @@ class Tape:
         self.array = array
         self.lines: list[str] = []
         self.consts: list = []
-        self.known: dict = {"0.0": 0.0, "1.0": 1.0, "2.0": 2.0, "3.0": 3.0, "3": 3}
+        self.known: dict = {"0.0": 0.0, "1.0": 1.0, "2.0": 2.0, "3.0": 3.0}
         self._n = 0
 
     def let(self, expr: str) -> str:
@@ -264,8 +266,7 @@ class Tape:
             for sign, term in zip(tokens[::2], tokens[1::2]):
                 prod = None
                 for factor in term.split("*"):
-                    x, _, n = factor.partition("^")
-                    x = self._op(names.get(x, x), "**", n) if n else names.get(x, x)
+                    x = names.get(factor, factor)
                     prod = x if prod is None else self._op(prod, "*", x)
                 acc = prod if acc is None else self._op(acc, sign, prod)
             names[f"c{j}"] = self._name(acc if divisor is None else self._op(acc, "/", divisor))
@@ -313,8 +314,9 @@ class Tape:
 
         Order 0 is the plain power b**p: a non-integer power needs a
         non-negative base, a negative power a nonzero one.  Derivatives go
-        through the chain rule.  A non-integer p needs a positive base and
-        takes each a0**(p-j) from its own `**`.  An integer 0 < p < 2**53
+        through the chain rule.  A non-integer p needs a positive base; one
+        `**` gives a0**p, bit for bit b**p, and a0**(p-j) is a0**(p-j+1) / a0
+        (bits are lost where a0**p is subnormal).  An integer 0 < p < 2**53
         takes any base: one `**` gives a0**(p - min(3, p)), the lowest power
         order 3 needs (so lower orders stay its exact truncation), and
         products by a0 give the rest; a few ulps from b**p.  An integer
@@ -341,9 +343,11 @@ class Tape:
                        f"power {p} of a non-positive value (an integer from 2**53 on is too large"
                        " for the exact integer rule)")
             self.check(a[0], "<=", message)
-            powers = [self._op(a[0], "**", self._known(p - j if j else p)) for j in range(order + 1)]
+            powers = [self._name(self._op(a[0], "**", self._known(p)))]
+            for _ in range(order):
+                powers.append(self._name(self._op(powers[-1], "/", a[0])))
         # phi_j = p*(p-1)*...*(p-j+1) * a0**(p-j), the coefficient folded into a constant
-        coeff, phis = 1.0, [self._name(powers[0])]
+        coeff, phis = 1.0, [powers[0]]
         for j in range(1, order + 1):
             coeff *= p - (j - 1.0)
             phis.append(self._name(self._op(self._known(coeff), "*", powers[j])))

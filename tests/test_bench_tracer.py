@@ -34,7 +34,7 @@ def test_tracer_counts_seed_one_and_restores_the_patched_names():
     assert fans == [
         {"riemann.hull_points": 4097, "riemann.hull_vertices": 4088, "riemann.pieces": 1,
          "riemann.invert_evals": 12},
-        {"riemann.hull_points": 4097, "riemann.hull_vertices": 369, "riemann.refine_evals": 21,
+        {"riemann.hull_points": 4097, "riemann.hull_vertices": 369, "riemann.refine_evals": 19,
          "riemann.pieces": 2, "riemann.invert_evals": 18},
     ]
     calls = tracer.aggregate((0, spans.Counter()))["calls"]

@@ -152,12 +152,63 @@ def test_negative_integer_power_at_zero_keeps_its_message(order):
 
 @pytest.mark.parametrize("array", [False, True])
 def test_integer_power_programs_take_one_float_power(array):
-    # s^30 at order 2: one ** for s^27, then s^28 .. s^30 as products
+    # s^30 at order 2: one ** for s^27, then s^28 .. s^30 as products;
+    # s^1.1 likewise: one ** for it, then s^0.1 and s^-0.9 as quotients by s
     tape = jet.Tape(array)
     models._emit(tape, ff.parse(models.COUNTEREXAMPLES[2]), "s", 2)
     powers = [line for line in tape.lines if "**" in line]
-    assert len(powers) == 4  # s^1.1, s^0.1 and s^-0.9, and s^27
+    assert len(powers) == 2  # s^1.1 and s^27
     assert sum(" = " in line and not line.startswith("bad") for line in tape.lines) <= 18
+
+
+@pytest.mark.parametrize("array", [False, True])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [-2.0, 2.0, 3.0, 7.0, 30.0, -1.5, 0.5, 1.1, 5.7, 2.0 ** 53, 2.0 ** 60])
+def test_each_power_node_runs_one_float_power(p, order, array):
+    # the rule rows hold no **: only the power's own a0**p (or the integer
+    # rule's a0**(p-3)) does, and integers up to 3 need none past order 0
+    tape = jet.Tape(array)
+    tape.pow(tuple(f"a{j}" for j in range(order + 1)), p)
+    want = 0 if order and p == round(p) and abs(p) <= 3 else 1
+    assert sum("**" in line for line in tape.lines) == want
+
+
+@pytest.mark.parametrize("M,want", [(1.0, 0), (1.5, 1)])
+def test_chierici_array_program_powers(M, want):
+    # a1 = -1/s^2 of (1-s)/s is negative: a1^3 in the chain rule is products
+    tape = jet.Tape(True)
+    models._emit(tape, ff.chierici(1.0, 3.0, M), "s", 3)
+    assert sum("**" in line for line in tape.lines) == want
+
+
+def _mp_power_jet(base, p, s):
+    """Exact order-3 jet of base(s)^p at the float s, 50 digits, by Faa di
+    Bruno on the exact jet of the base."""
+    s = mpmath.mpf(s)
+    u = {"s": (s, 1, 0, 0), "1 - s": (1 - s, -1, 0, 0),
+         "(1 - s)/s": (1 / s - 1, -1 / s ** 2, 2 / s ** 3, -6 / s ** 4)}[base]
+    phi = (u[0] ** p, p * u[0] ** (p - 1), p * (p - 1) * u[0] ** (p - 2),
+           p * (p - 1) * (p - 2) * u[0] ** (p - 3))
+    return (phi[0], phi[1] * u[1], phi[2] * u[1] ** 2 + phi[1] * u[2],
+            phi[3] * u[1] ** 3 + 3 * phi[2] * u[1] * u[2] + phi[1] * u[3])
+
+
+@pytest.mark.parametrize("base", ["s", "1 - s", "(1 - s)/s"])
+def test_noninteger_powers_match_mpmath(base):
+    """Each a0**(p-j) is a0**(p-j+1) / a0: components 1-3 of base^p for
+    non-integer p in (1, 6) within 1e-13 of 50-digit values, at scalar and
+    array points in [1e-6, 1 - 1e-6]."""
+    rng = np.random.default_rng(29)
+    points = np.concatenate([[1e-6, 1.0 - 1e-6], rng.uniform(1e-6, 1.0 - 1e-6, 30)])
+    for p in rng.uniform(1.0, 6.0, 6).tolist():
+        m = ff.parse(f"({base})^{p!r}")
+        array = m.taylor(points, 3)
+        with mpmath.workdps(50):
+            for i, s in enumerate(points.tolist()):
+                exact = _mp_power_jet(base, mpmath.mpf(p), s)
+                for got in (m.taylor(s, 3), [c[i] for c in array]):
+                    for j in (1, 2, 3):
+                        assert rel_close(float(got[j]), float(exact[j]), 1e-13, floor=0.0), (base, p, s, j)
 
 
 def test_scalar_power_overflow_is_a_domain_error_at_the_point():
@@ -381,7 +432,7 @@ def _exp(a):
     except OverflowError:
         raise ff.DomainError("float overflow") from None
     return jet.Jet3(e, e * a.f1, e * a.f1 * a.f1 + e * a.f2,
-                    e * a.f1 ** 3 + 3.0 * e * a.f1 * a.f2 + e * a.f3)
+                    e * a.f1 * a.f1 * a.f1 + 3.0 * e * a.f1 * a.f2 + e * a.f3)
 
 
 def _unfolded(m, s):
