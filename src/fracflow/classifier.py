@@ -93,6 +93,14 @@ def _slope_vanishes_at_zero(m: ModelExpr, eps: float):
     return rho >= DECAY_EXPONENT_MARGIN, m1_eps
 
 
+# numerator of the ratio's derivative, and the ratio's denominator
+_RATIOS = {
+    "m2/m": (lambda j: j.f3 * j.f0 - j.f2 * j.f1, lambda j: j.f0),   # (m''/m)'
+    "m2/m1": (lambda j: j.f3 * j.f1 - j.f2 ** 2, lambda j: j.f1),    # (m''/m')'
+    "m1/m": (lambda j: j.f2 * j.f0 - j.f1 ** 2, lambda j: j.f0),     # (m'/m)'
+}
+
+
 def check_conditions(m: ModelExpr, grid_n: int = 4096, eps: float = 1e-6) -> ConditionReport:
     """Evaluate the admissibility conditions of m on a clipped uniform grid.
 
@@ -103,20 +111,15 @@ def check_conditions(m: ModelExpr, grid_n: int = 4096, eps: float = 1e-6) -> Con
     A condition value that is not finite raises DomainError at the first
     grid point where one is not finite.
     """
-    if grid_n < 100:
-        raise ValueError(f"grid_n must be >= 100, got {grid_n}")
-    if not 0.0 < eps < 1e-3:
-        raise ValueError(f"eps must be in (0, 1e-3), got {eps}")
-
-    s = np.linspace(eps, 1.0 - eps, grid_n)
+    s = clipped_grid(grid_n, eps)
     j = m.eval_jet(s)
 
     conditions = (
         ("c1", j.f0, True),
         ("c2", j.f1, True),
         ("c3", j.f2, True),
-        ("c4", j.f3 * j.f1 - j.f2 ** 2, False),
-        ("c4star_extra", j.f2 * j.f0 - j.f1 ** 2, False),
+        ("c4", _RATIOS["m2/m1"][0](j), False),
+        ("c4star_extra", _RATIOS["m1/m"][0](j), False),
     )
     # an overflowed value decides nothing: fail at the first grid point where
     # a condition value is not finite
@@ -174,14 +177,6 @@ def criterion_T3(m: ModelExpr) -> float:
     return float((j.f3 * j.f0 - 3.0 * j.f2 * j.f1) / j.f0 ** 4)
 
 
-# numerator of the ratio's derivative, and the ratio's denominator
-_RATIOS = {
-    "m2/m": (lambda j: j.f3 * j.f0 - j.f2 * j.f1, lambda j: j.f0),   # (m''/m)'
-    "m2/m1": (lambda j: j.f3 * j.f1 - j.f2 ** 2, lambda j: j.f1),    # (m''/m')'
-    "m1/m": (lambda j: j.f2 * j.f0 - j.f1 ** 2, lambda j: j.f0),     # (m'/m)'
-}
-
-
 def monotonicity_change_of_ratio(
     m: ModelExpr, which: str, grid_n: int = 4096, eps: float = 1e-6, tol: float = 1e-10
 ) -> list[float]:
@@ -195,7 +190,7 @@ def monotonicity_change_of_ratio(
     if which not in _RATIOS:
         raise ValueError(f"which must be one of {sorted(_RATIOS)}, got {which!r}")
     numerator, denominator = _RATIOS[which]
-    s = np.linspace(eps, 1.0 - eps, grid_n)
+    s = clipped_grid(grid_n, eps)
     j = m.eval_jet(s)
     if not np.all(np.asarray(denominator(j), dtype=float) > 0.0):
         raise ValueError(f"ratio {which} denominator is not positive on the clipped grid")
@@ -205,7 +200,17 @@ def monotonicity_change_of_ratio(
     return [root for root, _ in sign_changes(s, g, func, tol)]
 
 
-def sign_changes(s, values, func, tol, zero_tol: float = ZERO_TOL):
+def clipped_grid(grid_n: int, eps: float, min_n: int = 100) -> np.ndarray:
+    """The uniform grid of grid_n points on [eps, 1 - eps]; a grid_n below
+    min_n or an eps outside (0, 1e-3) raises ValueError."""
+    if grid_n < min_n:
+        raise ValueError(f"grid_n must be >= {min_n}, got {grid_n}")
+    if not 0.0 < eps < 1e-3:
+        raise ValueError(f"eps must be in (0, 1e-3), got {eps}")
+    return np.linspace(eps, 1.0 - eps, grid_n)
+
+
+def sign_changes(s, values, func, tol):
     """Bracket every transversal sign change of sampled values and refine.
 
     func is the scalar evaluator used by the refinement.  Returns a list of
@@ -218,8 +223,8 @@ def sign_changes(s, values, func, tol, zero_tol: float = ZERO_TOL):
         raise ValueError(f"tol must be positive, got {tol!r}")
     _require_finite(s, values, "sample")
     sgn = np.zeros(len(values), dtype=int)
-    sgn[values > zero_tol] = 1
-    sgn[values < -zero_tol] = -1
+    sgn[values > ZERO_TOL] = 1
+    sgn[values < -ZERO_TOL] = -1
 
     out = []
     nz = np.flatnonzero(sgn)

@@ -27,11 +27,10 @@ import numpy as np
 from .jet import DomainError, Jet3, Real, Tape, point
 from .jet import add, div, reflect  # noqa: F401  (perfbench/spans.py counts these here)
 from .models import ModelPair, _emit
-from .classifier import sign_changes
+from .classifier import ZERO_TOL, clipped_grid, sign_changes
 
 DEFAULT_GRID_N = 8192
 DEFAULT_EPS = 1e-6
-ZERO_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -160,15 +159,16 @@ def find_s1(pair: ModelPair, grid_n: int = 4096, eps: float = DEFAULT_EPS, tol: 
     None when there is no sign change on the clipped grid.  For admissible
     pairs the root is unique; otherwise the first bracket is refined and a
     multiplicity warning is emitted.  inflection_points finds the same root
-    on its own grid and tol.
+    on its own grid and tol.  A grid_n below 100 or an eps outside
+    (0, 1e-3) raises ValueError.
     """
-    s = np.linspace(eps, 1.0 - eps, grid_n)
+    s = clipped_grid(grid_n, eps)
     return _first_root(pair, "s1", s, _jets(pair, s, 1), tol)
 
 
 def find_s2(pair: ModelPair, grid_n: int = 4096, eps: float = DEFAULT_EPS, tol: float = 1e-12):
     """Sign change of m_a''(s)*m_b(1-s) - m_a(s)*m_b''(1-s), i.e. of h'; see find_s1."""
-    s = np.linspace(eps, 1.0 - eps, grid_n)
+    s = clipped_grid(grid_n, eps)
     return _first_root(pair, "s2", s, _jets(pair, s, 2), tol)
 
 
@@ -185,11 +185,10 @@ def inflection_points(
     points where |f''| < ZERO_TOL farther than two grid spacings from every
     inflection are reported as tangency warnings, not inflections.  The
     S-shaped verdict is exactly "one inflection"; f3_at_half is populated
-    for symmetric pairs (identical expressions).
+    for symmetric pairs (identical expressions).  A grid_n below 1000 or an
+    eps outside (0, 1e-3) raises ValueError.
     """
-    if grid_n < 1000:
-        raise ValueError(f"grid_n must be >= 1000, got {grid_n}")
-    s = np.linspace(eps, 1.0 - eps, grid_n)
+    s = clipped_grid(grid_n, eps, 1000)
     a, b = _jets(pair, s, 2)
     y = np.asarray(_flux_from(s, a, b)[2], dtype=float)
     found = sign_changes(s, y, lambda t: float(f_taylor(pair, t, 2)[2]), tol)

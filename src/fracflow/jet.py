@@ -60,21 +60,6 @@ class Jet3:
     f2: Real
     f3: Real
 
-    def __add__(self, other: "Jet3") -> "Jet3":
-        return add(self, other)
-
-    def __sub__(self, other: "Jet3") -> "Jet3":
-        return sub(self, other)
-
-    def __mul__(self, other: "Jet3") -> "Jet3":
-        return mul(self, other)
-
-    def __truediv__(self, other: "Jet3") -> "Jet3":
-        return div(self, other)
-
-    def __neg__(self) -> "Jet3":
-        return neg(self)
-
 
 def _zeros_like(s: Real) -> Real:
     return np.zeros_like(s) if isinstance(s, np.ndarray) else 0.0

@@ -18,9 +18,15 @@ vertex.  Through a run of neighbouring samples whose cross products are
 > 0, the chain's cross tests are those same products, so it appends the
 run without them.
 
-Each curve holds scalar straight-line programs for f and f' (for a pair:
-m_a at s and m_b at 1 - s fused into one program), bit for bit equal to
-f_taylor; points outside their domain take the f_taylor route.
+Both curve kinds share one body: value and deriv run scalar straight-line
+programs for f and f' (for a pair: m_a at s and m_b at 1 - s fused into one
+program), bit for bit equal to the curve's reference route (f_value and
+f_taylor for a pair, eval and taylor for an expression), which takes arrays,
+the exact ends and points outside the programs' domain.  One walk over the
+chords refines each and tiles [a, b]: the run of contact edges before a
+chord is an arc ending at the chord's refined lo; a chord ends at its
+refined hi or, where the next chord shares its hull vertex, at the mean of
+that hi and the next chord's refined lo; the last piece ends at b.
 
 Inside a rarefaction the profile inverts f'(s) = xi over the whole arc with
 the bracket solver shared with the classifier.  The arc's end values of
@@ -52,49 +58,44 @@ INVERT_TOL = 1e-10
 _CLIP = 1e-9  # fallback clip for derivative evaluation at the domain ends
 
 
-class PairFlux:
+class _Curve:
+    """f and f' from the scalar programs _f and _df, else the reference route:
+    _value, and _taylor at s clipped into [_CLIP, 1 - _CLIP], whose
+    DomainError names the point.  perfbench/spans.py wraps deriv on each
+    subclass, so neither subclasses the other."""
+
+    def value(self, s):
+        if isinstance(s, np.ndarray) or s == 0.0 or s == 1.0:
+            return self._value(s)
+        try:
+            return self._f(s)[0]
+        except DomainError:
+            return self._value(s)
+
+    def deriv(self, s: float) -> float:
+        try:
+            return float(self._df(s)[1])
+        except DomainError:
+            return float(self._taylor(min(max(s, _CLIP), 1.0 - _CLIP), 1)[1])
+
+
+class PairFlux(_Curve):
     """Flux curve f = m_a/(m_a + m_b(1-s)) of a mobility pair."""
 
     def __init__(self, pair: ModelPair):
         self.pair = pair
+        self._value = lambda s: f_value(pair, s)  # looked up per call: perfbench/spans.py counts it
         self._taylor = partial(f_taylor, pair)
         self._f, self._df = pair_program(pair, 0), pair_program(pair, 1)
 
-    def value(self, s):
-        if isinstance(s, np.ndarray) or s == 0.0 or s == 1.0:
-            return f_value(self.pair, s)
-        try:
-            return self._f(s)[0]
-        except DomainError:
-            return f_value(self.pair, s)
 
-    def deriv(self, s: float) -> float:
-        return _slope(self._df, self._taylor, s)
-
-
-class ExprFlux:
+class ExprFlux(_Curve):
     """An arbitrary expression in s used directly as the flux function."""
 
     def __init__(self, expr: ModelExpr):
         self.expr = expr
-        self._taylor = expr.taylor
-        self._df = expr.program(1, False)
-
-    def value(self, s):
-        return self.expr.eval(s)
-
-    def deriv(self, s: float) -> float:
-        return _slope(self._df, self._taylor, s)
-
-
-def _slope(program, taylor, s: float) -> float:
-    """f'(s) from the order-1 program; where s is outside its domain (a
-    non-integer power at an exact endpoint), from taylor at s clipped into
-    [_CLIP, 1 - _CLIP], whose DomainError names the point."""
-    try:
-        return float(program(s)[1])
-    except DomainError:
-        return float(taylor(min(max(s, _CLIP), 1.0 - _CLIP), 1)[1])
+        self._value, self._taylor = expr.eval, expr.taylor
+        self._f, self._df = expr.program(0, False), expr.program(1, False)
 
 
 FluxLike = Union[ModelPair, ModelExpr]
@@ -247,63 +248,45 @@ def envelope(flux, a: float, b: float, orientation: str):
     hull_x = xs[hull]
     chords = _chords(value, hull_x, np.flatnonzero(np.diff(hull) > 1), dev_tol)
     x = hull_x.tolist()
-    raw: list[tuple[str, float, float]] = []
-    start = 0  # first edge of the current contact run
-    for k in chords + [len(x) - 1]:
-        if k > start:
-            raw.append(("arc", x[start], x[k]))
-        if k < len(x) - 1:
-            raw.append(("chord", x[k], x[k + 1]))
-        start = k + 1
-
     h = float(xs[1] - xs[0])
 
     def refine_end(t0: float, slope: float) -> float:
-        lo = max(a, t0 - h)
-        hi = min(b, t0 + h)
+        lo, hi = max(a, t0 - h), min(b, t0 + h)
         g = lambda t: deriv(t) - slope
         g_lo, g_hi = g(lo), g(hi)
-        if g_lo * g_hi > 0.0:
-            return t0
-        return _bisect(g, lo, hi, REFINE_TOL, g_lo, g_hi)
+        return t0 if g_lo * g_hi > 0.0 else _bisect(g, lo, hi, REFINE_TOL, g_lo, g_hi)
 
-    # per-chord tangency refinement: ends interior to [a, b] slide to where
-    # f' equals the chord slope; the slope is re-derived each pass
-    refined: list[tuple[str, float, float]] = []
-    for kind, lo, hi in raw:
-        if kind == "chord":
-            for _ in range(3):
-                slope = (value(hi) - value(lo)) / (hi - lo)
-                if lo > a:
-                    lo = refine_end(lo, slope)
-                if hi < b:
-                    hi = refine_end(hi, slope)
-        refined.append((kind, lo, hi))
-
-    # rebuild a contiguous tiling: chord boundaries win over arc boundaries,
-    # coincident chord-chord junctions average
-    m = len(refined)
-    joints = [a] + [0.0] * (m - 1) + [b]
-    for k in range(1, m):
-        left_kind, _, left_hi = refined[k - 1]
-        right_kind, right_lo, _ = refined[k]
-        if left_kind == "chord" and right_kind == "chord":
-            joints[k] = 0.5 * (left_hi + right_lo)
-        elif left_kind == "chord":
-            joints[k] = left_hi
-        else:
-            joints[k] = right_lo
+    def refine(lo: float, hi: float) -> tuple[float, float]:
+        """The chord's ends interior to [a, b], slid to where f' equals its
+        slope, re-derived each of 3 passes."""
+        for _ in range(3):
+            slope = (value(hi) - value(lo)) / (hi - lo)
+            if lo > a:
+                lo = refine_end(lo, slope)
+            if hi < b:
+                hi = refine_end(hi, slope)
+        return lo, hi
 
     pieces = []
-    for k, (kind, _, _) in enumerate(refined):
-        lo, hi = joints[k], joints[k + 1]
-        if hi <= lo:
-            continue
-        if kind == "arc":
-            pieces.append(ContactArc(lo, hi))
-        else:
-            slope = float((value(hi) - value(lo)) / (hi - lo))
-            pieces.append(Chord(lo, hi, sign * slope))
+    cut = a  # where the next piece starts
+
+    def close(hi: float, chord: bool) -> None:
+        nonlocal cut
+        if hi > cut:
+            pieces.append(Chord(cut, hi, sign * float((value(hi) - value(cut)) / (hi - cut)))
+                          if chord else ContactArc(cut, hi))
+        cut = hi
+
+    # walk the chords, then the end b, cutting by the module docstring's tiling rule
+    last = len(x) - 1
+    start, end = 0, None  # first edge of the contact run; refined hi of the open chord
+    for k in chords + [last]:
+        lo, hi = refine(x[k], x[k + 1]) if k < last else (b, b)
+        if end is not None:
+            close(0.5 * (end + lo) if k == start else end, True)
+        if k > start:
+            close(lo, False)
+        start, end = k + 1, hi
     return pieces
 
 

@@ -129,6 +129,33 @@ def test_precondition_validation():
         check_conditions(ff.power(1, 2), eps=0.5)
 
 
+CE1 = ff.parse(ff.models.COUNTEREXAMPLES[0])
+# each function on the clipped grid, with the smallest grid_n it accepts
+GRID_FUNCTIONS = {
+    "check_conditions": (lambda **kw: check_conditions(CE1, **kw), 100),
+    "monotonicity_change_of_ratio": (lambda **kw: ff.monotonicity_change_of_ratio(CE1, "m2/m1", **kw), 100),
+    "find_s1": (lambda **kw: ff.find_s1(ff.ModelPair(CE1, CE1), **kw), 100),
+    "find_s2": (lambda **kw: ff.find_s2(ff.ModelPair(CE1, CE1), **kw), 100),
+    "inflection_points": (lambda **kw: ff.inflection_points(ff.ModelPair(CE1, CE1), **kw), 1000),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.7, -0.5])
+@pytest.mark.parametrize("name", sorted(GRID_FUNCTIONS))
+def test_grid_functions_reject_an_eps_outside_the_clip_range(name, eps):
+    # eps = 0.7 used to give a descending grid and CE1 a single inflection
+    with pytest.raises(ValueError, match=r"eps must be in \(0, 1e-3\)"):
+        GRID_FUNCTIONS[name][0](eps=eps)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_FUNCTIONS))
+def test_grid_functions_reject_a_grid_below_their_minimum(name):
+    fn, min_n = GRID_FUNCTIONS[name]
+    for grid_n in (1, min_n - 1):
+        with pytest.raises(ValueError, match=f"grid_n must be >= {min_n}, got {grid_n}$"):
+            fn(grid_n=grid_n)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 def test_sign_changes_rejects_a_tol_that_is_not_positive(tol):
     pair = ff.ModelPair(ff.power(1, 2), ff.power(1, 2))

@@ -228,13 +228,32 @@ def test_problem_state_validation():
 
 def test_non_finite_flux_and_nan_xi_are_rejected():
     pair = ff.ModelPair(ff.parse("exp(1000*s)"), ff.parse("exp(1000*s)"))
-    with pytest.raises(ff.DomainError, match="non-finite flux value") as info:
-        rm.envelope(pair, 0.0, 1.0, "convex_lower")
-    xs = np.linspace(0.0, 1.0, rm.DEFAULT_SAMPLES + 1)
-    assert info.value.index == int(np.flatnonzero(~np.isfinite(ff.f_value(pair, xs)))[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # exp overflows, inf/inf is NaN
+        with pytest.raises(ff.DomainError, match="non-finite flux value") as info:
+            rm.envelope(pair, 0.0, 1.0, "convex_lower")
+        xs = np.linspace(0.0, 1.0, rm.DEFAULT_SAMPLES + 1)
+        assert info.value.index == int(np.flatnonzero(~np.isfinite(ff.f_value(pair, xs)))[0])
     fan = rm.solve(rm.RiemannProblem(1.0, 0.0, ff.ModelPair(ff.corey_a(), ff.corey_b())))
     with pytest.raises(ValueError, match="NaN"):
         rm.evaluate(fan, math.nan)
+
+
+def test_chords_sharing_a_hull_vertex_meet_between_their_refined_ends():
+    # a dip 0.3 deep and ~0.01 wide under a concave cap: the lower convex
+    # envelope is two chords whose tangency points lie ~2e-5 apart in the dip,
+    # closer than one sample spacing, so both chords end at one hull vertex
+    curve = rm.ExprFlux(ff.parse("s*(1 - s) - 0.3*exp(-20000*(s - 0.4)^2)"))
+    pieces = rm.envelope(curve, 0.0, 1.0, "convex_lower")
+    assert [type(p) for p in pieces] == [rm.Chord, rm.Chord]
+    left, right = pieces
+    assert (left.s_lo, left.s_hi, right.s_hi) == (0.0, right.s_lo, 1.0)
+    joint = left.s_hi
+    assert abs(joint - 0.4) < 1.0 / rm.DEFAULT_SAMPLES
+    for chord in pieces:
+        assert chord.slope == (curve.value(chord.s_hi) - curve.value(chord.s_lo)) / (chord.s_hi - chord.s_lo)
+    # the joint is the mean of the two refined ends, where f' equals neither
+    # chord's slope but lies about halfway between them
+    assert abs(curve.deriv(joint) - 0.5 * (left.slope + right.slope)) < 0.1 * (right.slope - left.slope)
 
 
 def test_envelope_orientation_validation():
