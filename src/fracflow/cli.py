@@ -72,6 +72,12 @@ def _write_svg(path: str, xs, ys, title: str) -> None:
         )
 
 
+def _at_least_one(option: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{option} must be >= 1, got {value}")
+    return value
+
+
 def _flux_table(pair: ModelPair, grid_n: int, eps: float):
     """Rows (s, f, f2) on [0, 1]; f exact at the ends, f2 from clipped points."""
     s = np.linspace(0.0, 1.0, grid_n)
@@ -124,8 +130,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    grid_n = _at_least_one("--grid", args.grid)
     os.makedirs(args.out, exist_ok=True)
-    grid_n = args.grid
     manifest = {"pairs": []}
     for k, text in enumerate(models.COUNTEREXAMPLES, 1):
         name = f"counterexample-{k}"
@@ -160,6 +166,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_riemann(args) -> int:
+    samples = _at_least_one("--samples", args.samples)
     pair = _load_pair(args.model_a, args.model_b)
     problem = riemann.RiemannProblem(args.s_left, args.s_right, pair)
     fan = riemann.solve(problem)
@@ -173,7 +180,7 @@ def cmd_riemann(args) -> int:
                 speeds.extend((w.speed_lo, w.speed_hi))
         lo = min(speeds) - 0.5 if speeds else -1.0
         hi = max(speeds) + 0.5 if speeds else 1.0
-        xi = np.linspace(lo, hi, args.samples)
+        xi = np.linspace(lo, hi, samples)
         rows = [(x, riemann.evaluate(fan, float(x))) for x in xi]
         _write_csv(args.profile, ["xi", "s"], rows)
     return 0

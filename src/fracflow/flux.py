@@ -65,17 +65,16 @@ def _flux_program(order: int, array: bool):
     return tape.build([*a, *b], _flux_rule(tape, a, b))
 
 
-def pair_program(pair: ModelPair, order: int):
-    """Scalar f and its first `order` derivatives at s as one program, cached
-    on the pair: m_a at s, m_b at a local 1 - s, then the flux rule.  Its
-    values are f_taylor's bit for bit; its DomainError does not name the
-    point."""
-    if order not in pair._programs:
+def pair_program(pair: ModelPair):
+    """Scalar f and f' at s as one program, cached on the pair: m_a at s,
+    m_b at a local 1 - s, then the flux rule.  Its values are f_taylor's at
+    order 1 bit for bit; its DomainError does not name the point."""
+    if 1 not in pair._programs:
         tape = Tape(False)
-        a = tape.opaque(_emit(tape, pair.m_a, "s", order))
-        b = tape.opaque(_emit(tape, pair.m_b, tape.let("1.0 - s"), order))
-        pair._programs[order] = tape.build(["s"], _flux_rule(tape, a, b))
-    return pair._programs[order]
+        a = tape.opaque(_emit(tape, pair.m_a, "s", 1))
+        b = tape.opaque(_emit(tape, pair.m_b, tape.let("1.0 - s"), 1))
+        pair._programs[1] = tape.build(["s"], _flux_rule(tape, a, b))
+    return pair._programs[1]
 
 
 def _jets(pair: ModelPair, s: Real, order: int) -> tuple:

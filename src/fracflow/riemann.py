@@ -6,23 +6,24 @@ Arcs where the envelope coincides with f become rarefactions, straight
 chords become shocks travelling at the chord slope (Rankine-Hugoniot).
 
 The envelope itself is built from a monotone-chain hull over a dense
-sample of the graph; hull edges joining adjacent samples are "contact"
-edges, longer edges are chords whose tangency points are then refined
-against the exact derivative, since sampling alone misclassifies
-near-tangential contact.  Only the edges that skip samples are tested
-against the curve, all in one array pass over seven interior points each;
-each run of adjacent edges becomes one arc.  Before the chain runs, one
-numpy pass drops every interior sample whose cross product with its two
-neighbours is < 0: it lies above its neighbours' chord and is never a hull
-vertex.  Through a run of neighbouring samples whose cross products are
-> 0, the chain's cross tests are those same products, so it appends the
+sample of the graph; a hull edge whose own samples all lie within dev_tol
+of it (so every edge joining adjacent samples) is "contact", any other edge
+is a chord whose tangency points are then refined against the exact
+derivative, since sampling alone misclassifies near-tangential contact.
+The test reads the samples the hull was built from, all edges in one array
+pass; each run of adjacent contact edges becomes one arc.  Before the chain
+runs, one numpy pass drops every interior sample whose cross product with
+its two neighbours is < 0: it lies above its neighbours' chord and is never
+a hull vertex.  Through a run of neighbouring samples whose cross products
+are > 0, the chain's cross tests are those same products, so it appends the
 run without them.
 
-Both curve kinds share one body: value and deriv run scalar straight-line
-programs for f and f' (for a pair: m_a at s and m_b at 1 - s fused into one
-program), bit for bit equal to the curve's reference route (f_value and
-f_taylor for a pair, eval and taylor for an expression), which takes arrays,
-the exact ends and points outside the programs' domain.  One walk over the
+Both curve kinds share one deriv: a scalar straight-line program for f and
+f' (for a pair: m_a at s and m_b at 1 - s fused into one program), bit for
+bit equal to the curve's reference route (f_taylor for a pair, taylor for an
+expression), which takes the points outside the program's domain.  A
+curve's value is its reference route for f (f_value for a pair, eval for an
+expression), which takes arrays and the exact ends.  One walk over the
 chords refines each and tiles [a, b]: the run of contact edges before a
 chord is an arc ending at the chord's refined lo; a chord ends at its
 refined hi or, where the next chord shares its hull vertex, at the mean of
@@ -59,18 +60,10 @@ _CLIP = 1e-9  # fallback clip for derivative evaluation at the domain ends
 
 
 class _Curve:
-    """f and f' from the scalar programs _f and _df, else the reference route:
-    _value, and _taylor at s clipped into [_CLIP, 1 - _CLIP], whose
-    DomainError names the point.  perfbench/spans.py wraps deriv on each
-    subclass, so neither subclasses the other."""
-
-    def value(self, s):
-        if isinstance(s, np.ndarray) or s == 0.0 or s == 1.0:
-            return self._value(s)
-        try:
-            return self._f(s)[0]
-        except DomainError:
-            return self._value(s)
+    """f' from the scalar program _df, else from the reference route _taylor
+    at s clipped into [_CLIP, 1 - _CLIP], whose DomainError names the point;
+    each subclass binds value, its reference route for f.  perfbench/spans.py
+    wraps deriv on each subclass, so neither subclasses the other."""
 
     def deriv(self, s: float) -> float:
         try:
@@ -84,9 +77,9 @@ class PairFlux(_Curve):
 
     def __init__(self, pair: ModelPair):
         self.pair = pair
-        self._value = lambda s: f_value(pair, s)  # looked up per call: perfbench/spans.py counts it
+        self.value = lambda s: f_value(pair, s)  # looked up per call: perfbench/spans.py counts it
         self._taylor = partial(f_taylor, pair)
-        self._f, self._df = pair_program(pair, 0), pair_program(pair, 1)
+        self._df = pair_program(pair)
 
 
 class ExprFlux(_Curve):
@@ -94,8 +87,8 @@ class ExprFlux(_Curve):
 
     def __init__(self, expr: ModelExpr):
         self.expr = expr
-        self._value, self._taylor = expr.eval, expr.taylor
-        self._f, self._df = expr.program(0, False), expr.program(1, False)
+        self.value, self._taylor = expr.eval, expr.taylor
+        self._df = expr.program(1, False)
 
 
 FluxLike = Union[ModelPair, ModelExpr]
@@ -200,19 +193,6 @@ def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return index[hull]
 
 
-def _chords(value, x: np.ndarray, edges: np.ndarray, dev_tol: float) -> list[int]:
-    """The edges k in `edges` (from x[k] to x[k + 1]) where value leaves the
-    line through value(x[k]) and value(x[k + 1]) by more than dev_tol, or by
-    NaN, at one of 7 interior points; all edges in one array pass."""
-    lo, hi = x[edges], x[edges + 1]
-    ts = np.linspace(lo, hi, 9)[1:-1]  # row i: the i-th interior point of every edge
-    f_lo = np.array([value(t) for t in lo.tolist()], dtype=float)
-    f_hi = np.array([value(t) for t in hi.tolist()], dtype=float)
-    line = f_lo + (ts - lo) / (hi - lo) * (f_hi - f_lo)
-    dev = np.max(np.abs(np.asarray(value(ts)) - line), axis=0)
-    return edges[~(dev <= dev_tol)].tolist()
-
-
 def envelope(flux, a: float, b: float, orientation: str):
     """Lower convex or upper concave envelope of the flux on [a, b].
 
@@ -242,12 +222,12 @@ def envelope(flux, a: float, b: float, orientation: str):
     # contact structure from flat (e.g. underflowed) stretches, not a shock
     dev_tol = 1e-12 * max(1.0, float(np.max(np.abs(ys))))
 
-    # classify hull edges: one joining adjacent samples, or staying within
-    # dev_tol of the curve, is contact; runs of contact edges merge into arcs.
-    # Only the edges that skip samples can be chords.
-    hull_x = xs[hull]
-    chords = _chords(value, hull_x, np.flatnonzero(np.diff(hull) > 1), dev_tol)
-    x = hull_x.tolist()
+    # classify hull edges: one whose samples all stay within dev_tol of it
+    # (so every edge joining adjacent samples) is contact; runs of contact
+    # edges merge into arcs
+    gap = np.abs(ys - np.interp(xs, xs[hull], ys[hull]))
+    chords = np.flatnonzero(np.maximum.reduceat(gap, hull[:-1]) > dev_tol).tolist()
+    x = xs[hull].tolist()
     h = float(xs[1] - xs[0])
 
     def refine_end(t0: float, slope: float) -> float:

@@ -197,6 +197,21 @@ def test_figures_io_error_exits_three(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_figures_grid_below_one_exits_two_before_writing(grid, tmp_path, capsys):
+    outdir = tmp_path / "figs"
+    code, out, err = run(capsys, "figures", "--out", str(outdir), "--grid", grid)
+    assert (code, out, err) == (2, "", f"error: --grid must be >= 1, got {grid}\n")
+    assert not outdir.exists()
+
+
+def test_figures_grid_of_one_writes_one_row(tmp_path, capsys):
+    code, _, _ = run(capsys, "figures", "--out", str(tmp_path), "--grid", "1", "--svg")
+    assert code == 0
+    header, rows = read_csv(tmp_path / "counterexample-1_f.csv")
+    assert header == ["s", "f"] and rows == [[0.0, 0.0]]
+
+
 def test_riemann_welge_fan(capsys):
     code, out, _ = run(capsys, "riemann", "s^2", "s^2", "1", "0")
     assert code == 0
@@ -234,6 +249,24 @@ def test_riemann_profile_csv(tmp_path, capsys):
     assert all(a >= b - 1e-9 for a, b in zip(svals, svals[1:]))
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+@pytest.mark.parametrize("profile", [True, False])
+def test_riemann_samples_below_one_exit_two_before_any_output(samples, profile, tmp_path, capsys):
+    prof = tmp_path / "profile.csv"
+    argv = ["riemann", "s^2", "s^2", "1", "0", "--samples", samples] + (["--profile", str(prof)] if profile else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: --samples must be >= 1, got {samples}\n")
+    assert not prof.exists()
+
+
+def test_riemann_one_sample_profile(tmp_path, capsys):
+    prof = tmp_path / "profile.csv"
+    code, out, _ = run(capsys, "riemann", "s^2", "s^2", "1", "0", "--profile", str(prof), "--samples", "1")
+    assert code == 0 and "shock:" in out
+    header, rows = read_csv(prof)
+    assert header == ["xi", "s"] and len(rows) == 1 and rows[0][1] == 1.0
+
+
 def test_riemann_state_out_of_range_exits_two(capsys):
     code, _, err = run(capsys, "riemann", "s^2", "s^2", "1.5", "0")
     assert code == 2
@@ -268,7 +301,7 @@ def test_overflowing_inputs_print_only_the_error_line(argv, capsys):
 
 @pytest.mark.parametrize("states", [("0.2", "0"), ("0", "0.2")])
 def test_riemann_scalar_power_overflow_exits_two(states, capsys):
-    # (1000*(1 - s))^201 overflows a float ** at the hull's scalar probes
+    # (1000*(1 - s))^201 overflows a float ** at a scalar flux or slope evaluation
     code, out, err = run(capsys, "riemann", "s^2", "(1000*s)^201", *states)
     assert code == 2 and not out
     assert err.startswith("error: float overflow while evaluating (1000*s)^201 at s=")
