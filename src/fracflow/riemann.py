@@ -11,12 +11,15 @@ of it (so every edge joining adjacent samples) is "contact", any other edge
 is a chord whose tangency points are then refined against the exact
 derivative, since sampling alone misclassifies near-tangential contact.
 The test reads the samples the hull was built from, all edges in one array
-pass; each run of adjacent contact edges becomes one arc.  Before the chain
-runs, one numpy pass drops every interior sample whose cross product with
-its two neighbours is < 0: it lies above its neighbours' chord and is never
-a hull vertex.  Through a run of neighbouring samples whose cross products
-are > 0, the chain's cross tests are those same products, so it appends the
-run without them.
+pass; each run of adjacent contact edges becomes one arc.  The chain
+(Andrew, Inf. Proc. Lett. 9, 1979) visits only the samples whose cross
+product with their two neighbours is >= 0; any other lies above its
+neighbours' chord and is never a vertex.  Through a run of neighbours whose
+cross products are > 0 the chain's tests are those same products, so it
+appends the run untested.  A streak of samples that each pop only the one
+before them (a convex run under a chord), and a pop back through a block of
+consecutive vertices, go to numpy once they are long; it computes the
+chain's own cross products, so every decision is the chain's.
 
 Both curve kinds share one deriv: a scalar straight-line program for f and
 f' (for a pair: m_a at s and m_b at 1 - s fused into one program), bit for
@@ -29,17 +32,23 @@ chord is an arc ending at the chord's refined lo; a chord ends at its
 refined hi or, where the next chord shares its hull vertex, at the mean of
 that hi and the next chord's refined lo; the last piece ends at b.
 
-Inside a rarefaction the profile inverts f'(s) = xi over the whole arc with
-the bracket solver shared with the classifier.  The arc's end values of
-f' - xi are the wave's end speeds minus xi, so the solver starts from them
-without evaluating f' again, and the result lies within INVERT_TOL of a
-sign change of f' - xi.  At its two end speeds a rarefaction returns its
-end states, which are exact roots.
+Inside a rarefaction the profile inverts f'(s) = xi with the bracket
+solver shared with the classifier, to within INVERT_TOL of a sign change of
+f' - xi.  Each arc keeps views of the samples inside it and of their edge
+slopes, which ascend on a contact arc; by Osher's argmin form (SIAM J.
+Numer. Anal. 21, 1984) the root lies within two spacings of where xi falls
+among them.  Interpolating xi between the two nearest edge midpoints gives
+a start with error O(h^2); f' there and at two estimated errors beyond it
+bracket the root almost always.  Where they do not, or the rarefaction has
+no samples, the bracket is the whole arc, whose end values of f' - xi are
+the wave's end speeds minus xi.  At its two end speeds a rarefaction
+returns its end states, which are exact roots.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Union
@@ -57,6 +66,7 @@ DEFAULT_SAMPLES = 4096
 REFINE_TOL = 1e-12
 INVERT_TOL = 1e-10
 _CLIP = 1e-9  # fallback clip for derivative evaluation at the domain ends
+_LONG = 8  # chain steps of one pattern before _lower_hull_indices hands it to numpy
 
 
 class _Curve:
@@ -106,6 +116,7 @@ def _as_curve(flux):
 class ContactArc:
     s_lo: float
     s_hi: float
+    samples: tuple | None = field(default=None, repr=False, compare=False)  # set by envelope
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,7 @@ class Rarefaction:
     right_state: float
     speed_lo: float
     speed_hi: float
+    samples: tuple | None = field(default=None, repr=False, compare=False)  # its arc's
 
 
 Wave = Union[Shock, Rarefaction]
@@ -158,39 +170,68 @@ class WaveFan:
 
 def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Lower hull of the points (xs[i], ys[i]), xs ascending, by the monotone
-    chain over the ends and the samples whose cross product with their two
-    neighbours is >= 0.  Where the top two vertices are neighbours, the
-    chain's cross test of the next sample is the top vertex's own cross
-    product, same operands and formula; through a run of neighbours whose
-    cross products are > 0 each test passes, so the run is appended untested.
+    chain over the samples the module docstring names.  Where the top two
+    vertices are neighbours, the chain's test of the next sample is the top
+    vertex's own cross product, same operands and formula, so a run of
+    neighbours with cross products > 0 is appended untested.  A streak, or a
+    pop back through consecutive vertices, that outlasts _LONG chain steps
+    is tested in numpy with the chain's operands and formula.
     """
     x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
     y0, y1, y2 = ys[:-2], ys[1:-1], ys[2:]
     cross = np.zeros(len(xs))  # the ends are always visited
     cross[1:-1] = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     index = np.flatnonzero(cross >= 0.0)
-    adjacent = np.diff(index) == 1
-    # the last sample of each visited sample's run
-    ends = np.append(np.flatnonzero(~adjacent | (cross[index[:-1]] <= 0.0)), len(index) - 1)
-    run_end = np.repeat(ends, np.diff(ends, prepend=-1)).tolist()
-    adjacent = [False, *adjacent.tolist()]  # to the previous visited sample
-    x, y = xs[index].tolist(), ys[index].tolist()
+    gap = np.diff(index) > 1
+    # where a run ends that the chain may append untested: a gap on either side, or cross <= 0
+    run_end = np.ones(len(index), dtype=bool)
+    run_end[:-1] = gap | (cross[index[:-1]] <= 0.0)
+    run_end[1:] |= gap
+    ends = np.flatnonzero(run_end).tolist()
+    X, Y = xs[index], ys[index]
+    x, y = memoryview(X), memoryview(Y)  # floats on access, without a list of them all
     hull: list[int] = []
-    i = 0
+    i = streak = 0
     while i < len(x):
+        popped, xi, yi = 0, x[i], y[i]
         while len(hull) >= 2:
             o, a = hull[-2], hull[-1]
-            cross_i = (x[a] - x[o]) * (y[i] - y[o]) - (y[a] - y[o]) * (x[i] - x[o])
-            if cross_i <= 0.0:
-                hull.pop()
-            else:
+            xo, yo = x[o], y[o]
+            if (x[a] - xo) * (yi - yo) - (y[a] - yo) * (xi - xo) > 0.0:
                 break
+            last = hull.pop()
+            popped += 1
+            if popped == _LONG and len(hull) > 1 and hull[-2] == hull[-1] - 1:
+                # test the top block hull[b:] of consecutive vertices in one
+                # pass, and cut after the last one that i keeps
+                b = bisect_left(range(len(hull)), hull[-1] - len(hull) + 1, key=lambda p: hull[p] - p)
+                lo, hi = hull[b] + 1, hull[-1] + 1
+                kept = np.flatnonzero((X[lo:hi] - X[lo - 1:hi - 1]) * (yi - Y[lo - 1:hi - 1])
+                                      - (Y[lo:hi] - Y[lo - 1:hi - 1]) * (xi - X[lo - 1:hi - 1]) > 0.0)
+                del hull[b + 1 + (int(kept[-1]) + 1 if kept.size else 0):]
+        streak = streak + 1 if popped == 1 and last == i - 1 else 0
         hull.append(i)
-        if adjacent[i] and hull[-2] == i - 1:
-            hull.extend(range(i + 1, run_end[i] + 1))
-            i = run_end[i]
+        if streak >= _LONG:
+            # each next j pops only j - 1 while cross(o, j - 1, j) <= 0 and
+            # cross(o2, o, j) > 0: find the first j where either fails
+            o, o2 = hull[-2], hull[-3] if len(hull) > 2 else None
+            j, width = i + 1, _LONG
+            while j < len(x):
+                J, P = slice(j, j + width), slice(j - 1, min(j + width, len(x)) - 1)
+                stop = (X[P] - x[o]) * (Y[J] - y[o]) - (Y[P] - y[o]) * (X[J] - x[o]) > 0.0
+                if o2 is not None:
+                    stop |= (x[o] - x[o2]) * (Y[J] - y[o2]) - (y[o] - y[o2]) * (X[J] - x[o2]) <= 0.0
+                if stop.any():
+                    j += int(stop.argmax())
+                    break
+                j, width = j + len(stop), 2 * width
+            hull[-1], i = j - 1, j
+            continue
+        if len(hull) > 1 and hull[-2] == i - 1:
+            i = ends[bisect_left(ends, i)]
+            hull.extend(range(hull[-1] + 1, i + 1))
         i += 1
-    return index[hull]
+    return index[np.fromiter(hull, np.intp, len(hull))]
 
 
 def envelope(flux, a: float, b: float, orientation: str):
@@ -217,6 +258,7 @@ def envelope(flux, a: float, b: float, orientation: str):
     ys = np.asarray(value(xs), dtype=float)
     _require_finite(xs, ys, "flux value")
     hull = _lower_hull_indices(xs, ys)
+    slopes = np.diff(ys) / np.diff(xs)  # an arc keeps views of its samples and these
 
     # a chord that never leaves the curve by more than value resolution is
     # contact structure from flat (e.g. underflowed) stretches, not a shock
@@ -253,8 +295,9 @@ def envelope(flux, a: float, b: float, orientation: str):
     def close(hi: float, chord: bool) -> None:
         nonlocal cut
         if hi > cut:
+            i, j = xs.searchsorted(cut, "right"), xs.searchsorted(hi)  # the samples strictly inside
             pieces.append(Chord(cut, hi, sign * float((value(hi) - value(cut)) / (hi - cut)))
-                          if chord else ContactArc(cut, hi))
+                          if chord else ContactArc(cut, hi, (xs[i:j], slopes[i:j - 1])))
         cut = hi
 
     # walk the chords, then the end b, cutting by the module docstring's tiling rule
@@ -290,8 +333,29 @@ def solve(problem: RiemannProblem) -> WaveFan:
         if isinstance(p, Chord):
             waves.append(Shock(left, right, p.slope))
         else:
-            waves.append(Rarefaction(left, right, curve.deriv(left), curve.deriv(right)))
+            waves.append(Rarefaction(left, right, curve.deriv(left), curve.deriv(right), p.samples))
     return WaveFan(s_L, s_R, waves, curve)
+
+
+def _near_bracket(w: Rarefaction, g, xi: float):
+    """((lo, g(lo)), (hi, g(hi))) around f'(s) = xi from the rarefaction's
+    samples, or None where they do not bracket it (module docstring)."""
+    if w.samples is None:
+        return None
+    s, slopes = w.samples
+    sign = 1.0 if w.left_state < w.right_state else -1.0  # slopes are of sign*f
+    j = int(slopes.searchsorted(sign * xi))
+    if not 0 < j < len(slopes):
+        return None
+    (d0, d1), (s0, s1, s2) = slopes[j - 1:j + 1].tolist(), s[j - 1:j + 2].tolist()
+    m0, m1 = 0.5 * (s0 + s1), 0.5 * (s1 + s2)
+    t0 = m0 + (sign * xi - d0) / (d1 - d0) * (m1 - m0)
+    g0 = g(t0)
+    # sign*g ascends with s, at about (d1 - d0)/(m1 - m0)
+    step = max(INVERT_TOL, 2.0 * abs(g0) * (m1 - m0) / (d1 - d0))
+    t1 = min(t0 + step, s2) if sign * g0 < 0.0 else max(t0 - step, s0)
+    g1 = g(t1)
+    return sorted(((t0, g0), (t1, g1))) if g0 <= 0.0 <= g1 or g1 <= 0.0 <= g0 else None
 
 
 def evaluate(fan: WaveFan, xi: float) -> float:
@@ -316,10 +380,11 @@ def evaluate(fan: WaveFan, xi: float) -> float:
             if xi == w.speed_hi:
                 return w.right_state
             if xi < w.speed_hi:
-                # f' - xi at the end states is the end speed minus xi
-                (lo, g_lo), (hi, g_hi) = sorted(((w.left_state, w.speed_lo - xi),
-                                                 (w.right_state, w.speed_hi - xi)))
-                return _bisect(lambda t: fan.flux.deriv(t) - xi, lo, hi, INVERT_TOL, g_lo, g_hi)
+                g = lambda t, deriv=fan.flux.deriv: deriv(t) - xi
+                # else the whole arc, where f' - xi at each end is its end speed minus xi
+                (lo, g_lo), (hi, g_hi) = _near_bracket(w, g, xi) or sorted(
+                    ((w.left_state, w.speed_lo - xi), (w.right_state, w.speed_hi - xi)))
+                return _bisect(g, lo, hi, INVERT_TOL, g_lo, g_hi)
         state = w.right_state
     return state
 

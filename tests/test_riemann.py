@@ -404,9 +404,11 @@ def test_evaluate_leaves_the_fan_unchanged():
 
 @pytest.mark.parametrize("name,pair,s_L", INVERSION_CASES, ids=[c[0] for c in INVERSION_CASES])
 def test_inversion_starts_from_the_end_speeds_and_needs_few_slope_calls(name, pair, s_L):
-    # the end values of f' - xi come from the wave's speeds, so f' is never
-    # evaluated at the end states; the bracket solver needs far fewer calls
-    # per xi than the ~33 of bisection down to INVERT_TOL
+    # the start from the arc's samples is within O(h^2) of the root, so a
+    # bracket of two calls and about two solver steps reach INVERT_TOL (4.95
+    # calls per xi at most over these cases, against ~33 for bisection); the
+    # whole-arc fallback takes its end values from the wave's speeds, so f'
+    # is never evaluated at the end states
     fan = rm.solve(rm.RiemannProblem(s_L, 1.0 - s_L, pair))
     calls = []
     deriv = fan.flux.deriv
@@ -418,7 +420,42 @@ def test_inversion_starts_from_the_end_speeds_and_needs_few_slope_calls(name, pa
                 rm.evaluate(fan, xi)
                 n_xi += 1
             assert w.left_state not in calls and w.right_state not in calls
-    assert n_xi and len(calls) <= 12 * n_xi, len(calls) / n_xi
+    assert n_xi and len(calls) <= 5 * n_xi, len(calls) / n_xi
+
+
+def _interior_xis(fan, count=41):
+    """count xi strictly inside each rarefaction's speed range."""
+    return [xi for w in fan.waves if isinstance(w, rm.Rarefaction)
+            for xi in np.linspace(w.speed_lo, w.speed_hi, count + 2)[1:-1].tolist()]
+
+
+@pytest.mark.parametrize("s_L", [1.0, 0.0])
+def test_hand_built_rarefaction_without_samples_is_inverted_over_the_whole_arc(s_L):
+    fan = rm.solve(rm.RiemannProblem(s_L, 1.0 - s_L, ff.ModelPair(ff.corey_a(), ff.corey_b())))
+    bare = rm.WaveFan(fan.s_left, fan.s_right, [
+        rm.Rarefaction(w.left_state, w.right_state, w.speed_lo, w.speed_hi)
+        if isinstance(w, rm.Rarefaction) else w for w in fan.waves], fan.flux)
+    assert repr(bare) == repr(fan) and bare == fan  # samples are neither shown nor compared
+    for xi in _interior_xis(fan):
+        assert abs(rm.evaluate(bare, xi) - bisection_profile(bare, xi)) <= rm.INVERT_TOL, xi
+
+
+@pytest.mark.parametrize("s_L", [1.0, 0.0])
+def test_a_sample_bracket_that_misses_the_root_falls_back_to_the_whole_arc(s_L, monkeypatch):
+    # slopes shifted by a tenth of the speed range put the start ~10% of the
+    # arc away from the root: the two-point bracket, kept within the start's
+    # neighbouring samples, cannot straddle it
+    fan = rm.solve(rm.RiemannProblem(s_L, 1.0 - s_L, ff.ModelPair(CE3, CE3)))
+    shifted = rm.WaveFan(fan.s_left, fan.s_right, [
+        dataclasses.replace(w, samples=(w.samples[0], w.samples[1] + 0.1 * (w.speed_hi - w.speed_lo)))
+        if isinstance(w, rm.Rarefaction) else w for w in fan.waves], fan.flux)
+    brackets = []
+    near = rm._near_bracket
+    monkeypatch.setattr(rm, "_near_bracket", lambda *args: brackets.append(near(*args)) or brackets[-1])
+    xis = _interior_xis(fan)
+    for xi in xis:
+        assert abs(rm.evaluate(shifted, xi) - bisection_profile(fan, xi)) <= rm.INVERT_TOL, xi
+    assert len(brackets) == len(xis) and not any(brackets)
 
 
 # -- sampled hull -------------------------------------------------------------
@@ -471,6 +508,16 @@ def _hull_inputs():
         ("underflowed", xs, underflowed),
         ("alternating noise", xs, xs ** 2 + 1e-9 * (-1.0) ** np.arange(xs.size)),
         ("alternating noise, coarse", xs, xs ** 2 + 1e-7 * (-1.0) ** np.arange(xs.size)),
+        # the chain's two numpy scans: a streak of 4095 samples that each pop
+        # only the one before them, and a late point that pops 3662, or all
+        # but the first, of 4095 appended vertices (past 8 pops, one pass)
+        ("parabola under a chord from a low left end", xs, np.append(-2.0, (xs[1:] - 0.5) ** 2)),
+        ("convex run, late low point", xs, np.append(xs[:-1] ** 2, 0.2)),
+        ("convex run, late lowest point", xs, np.append(xs[:-1] ** 2, -10.0)),
+        # a streak of 18 under the chord from (1, -1000), ended by a point
+        # exactly on the line through (0, 0) and (1, -1000), which pops it
+        ("streak ending on a collinear point", np.arange(23.0),
+         np.concatenate(([0.0, -1000.0], (np.arange(2.0, 22.0) - 2.0) ** 2, [-22000.0]))),
     ]
     for name, pair, a, b in HULL_CASES:
         s = np.linspace(a, b, rm.DEFAULT_SAMPLES + 1)
@@ -626,6 +673,41 @@ def test_profile_is_the_limit_of_a_monotone_finite_volume_scheme(name, pair, s_L
     # (Kuznetsov); a profile off the entropy solution would stall instead
     assert errors[1] < 0.6 * errors[0], errors
     assert errors[1] < 0.005, errors
+
+
+def test_drawn_profiles_are_the_limit_of_the_finite_volume_scheme():
+    # the first 12 drawn fans whose fastest wave reaches |xi| >= 0.1 (a slower
+    # fan stays within a few cells, where scheme and profile agree to rounding
+    # at every resolution).  x = 0 is a cell edge at both resolutions, so the
+    # scheme starts from exact cell averages, and the profile's cell averages
+    # are exact too: d(xi*s - f(s))/dxi = s where f'(s) = xi, and xi*[s] = [f]
+    # across a shock.  With a rarefaction the L1 error falls at least like
+    # dx^(1/2) (~0.33 per 4x cells here); a shock's is O(dx) but depends on
+    # where the shock falls in its cell, so it need only fall.
+    n_fans, cells = 0, 100
+    for pair, s_L, s_R in _drawn_fans():
+        fan = rm.solve(rm.RiemannProblem(s_L, s_R, pair))
+        speeds = [v for lo_hi in _fan_speed_list(fan) for v in lo_hi]
+        if max(abs(v) for v in speeds) < 0.1:
+            continue
+        x_lo, x_hi = min(min(speeds) - 0.5, -0.5), max(speeds) + 0.5
+        dx = (x_hi - x_lo) / cells
+        x_lo = -dx * math.ceil(-x_lo / dx)
+        x_hi = x_lo + cells * dx
+        errors = []
+        for n_cells in (cells, 4 * cells):
+            _, u = engquist_osher(pair, s_L, s_R, x_lo, x_hi, n_cells)
+            edges = np.linspace(x_lo, x_hi, n_cells + 1)
+            s = np.array([rm.evaluate(fan, xi) for xi in edges.tolist()])
+            average = np.diff(edges * s - ff.f_value(pair, s)) / np.diff(edges)
+            errors.append(float(np.sum(np.abs(u - average)) * (x_hi - x_lo) / n_cells))
+        assert errors[1] < errors[0], (s_L, s_R, errors)
+        if any(isinstance(w, rm.Rarefaction) for w in fan.waves):
+            assert errors[1] < 0.6 * errors[0], (s_L, s_R, errors)
+        n_fans += 1
+        if n_fans == 12:
+            break
+    assert n_fans == 12
 
 
 # -- Osher's formula and Oleinik's entropy condition ---------------------------
