@@ -21,6 +21,7 @@ exponential preset near s = 0).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -244,36 +245,37 @@ def _require_finite(s, values, what: str) -> None:
         raise DomainError(f"non-finite {what} at {point(s, int(bad[0]))}", int(bad[0]))
 
 
-def _bisect_sign_change(func, lo, hi, tol, f_lo=None, f_hi=None):
+def _bisect_sign_change(func, lo, hi, tol, f_lo, f_hi):
     """Refine a sign change of func on [lo, hi] to a bracket below tol and
     return its midpoint, or a point where func is exactly zero.
 
-    f_lo and f_hi are func(lo) and func(hi) when the caller has them; an end
-    where func is exactly zero is returned.  While the end values have
-    strict opposite signs, Illinois regula falsi steps: the end kept twice in
-    a row has its value halved, and a step that would land within tol/2 of
-    an end probes at tol/2 from it instead, which closes the bracket when the
-    root lies that close (Dekker's safeguard).  Bisection finishes the
-    bracket after ceil(log2((hi-lo)/tol)) such steps, so no input costs more
-    than about twice bisection, and does all of it when the end values do
-    not confirm a sign change.
+    f_lo and f_hi are func(lo) and func(hi); an end where that value is
+    exactly zero is returned.  One loop narrows the bracket.  While the end
+    values have strict opposite signs, the first ceil(log2((hi-lo)/tol))
+    steps are Illinois regula falsi: the end kept twice in a row has its
+    value halved, and a step that would land within tol/2 of an end probes
+    at tol/2 from it instead, which closes the bracket when the root lies
+    that close (Dekker's safeguard).  Every later step, and every step when
+    the end values do not confirm a sign change, bisects, so no input costs
+    more than about twice bisection.  The loop also ends when no float lies
+    strictly between lo and hi, so a tol below the float spacing returns an
+    end of two neighbouring floats.
     """
-    if f_lo is None:
-        f_lo = func(lo)
     if f_lo == 0.0:
         return lo
-    if f_hi is None:
-        f_hi = func(hi)
     if f_hi == 0.0:
         return hi
     strict = hi - lo > tol and (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo)
-    steps = math.ceil(math.log2((hi - lo) / tol)) if strict else 0
+    steps = math.ceil(math.log2(min((hi - lo) / tol, sys.float_info.max))) if strict else 0
     half = 0.5 * tol
-    kept = 0  # end kept by the last step: -1 for lo, 1 for hi
-    while steps > 0 and hi - lo > tol:
+    kept = 0  # end kept by the last Illinois step: -1 for lo, 1 for hi
+    while hi - lo > tol and math.nextafter(lo, hi) < hi:
         steps -= 1
-        # a NaN step (from a NaN value) lands at lo + tol/2
-        t = min(hi - half, max(lo + half, float(hi - f_hi * (hi - lo) / (f_hi - f_lo))))
+        if steps < 0:
+            t, kept = 0.5 * (lo + hi), 0  # bisection halves no end value
+        else:
+            # a NaN step (from a NaN value) lands at lo + tol/2
+            t = min(hi - half, max(lo + half, float(hi - f_hi * (hi - lo) / (f_hi - f_lo))))
         f_t = func(t)
         if f_t == 0.0:
             return t
@@ -287,15 +289,6 @@ def _bisect_sign_change(func, lo, hi, tol, f_lo=None, f_hi=None):
             if kept == -1:
                 f_lo *= 0.5
             kept = -1
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = func(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
     return 0.5 * (lo + hi)
 
 

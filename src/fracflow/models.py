@@ -379,7 +379,11 @@ def _negate(e: ModelExpr) -> ModelExpr:
 
 def parse(text: str) -> ModelExpr:
     """Parse an expression in the grammar above into a ModelExpr."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:  # nesting deeper than the interpreter's stack
+        raise ParseError("expression nested too deeply", parser.tokens[parser.i - 1][2]) from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from fracflow.classifier import (_bisect_sign_change, check_conditions, report_t
                                  sign_changes)
 from fracflow.flux import f_taylor
 
+from bracket_reference import BRACKET_FUNCTIONS, BRACKET_KINDS, draw_bracket, same_trace, traced, two_loop_solver
 from conftest import draw_c4star_candidate, rel_close
 
 
@@ -250,22 +251,6 @@ def _counted(func):
     return wrapped, calls
 
 
-def _flat(t):
-    # exp(-1/t^2) with the sign of t: every derivative vanishes at 0, and
-    # the value underflows to an exact 0 for |t| < ~0.037
-    return math.copysign(math.exp(-1.0 / (t * t)), t) if abs(t) > 0.01 else 0.0
-
-
-BRACKET_FUNCTIONS = {
-    "linear": lambda t: t,
-    "cubic": lambda t: t ** 3,
-    "power 11": lambda t: t ** 11,
-    "signed cube root": lambda t: math.copysign(abs(t) ** (1.0 / 3.0), t),
-    "steep tanh": lambda t: math.tanh(1e6 * t),
-    "exp(-1/t^2) flat": _flat,
-}
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(BRACKET_FUNCTIONS)),
@@ -283,7 +268,7 @@ def test_bracket_solver_finds_the_sign_change_within_twice_the_bisection_budget(
     r = lo + where * width
     shape = BRACKET_FUNCTIONS[name]
     func, calls = _counted(lambda t: -shape(t - r) if negate else shape(t - r))
-    root = _bisect_sign_change(func, lo, hi, tol)
+    root = _bisect_sign_change(func, lo, hi, tol, func(lo), func(hi))
     assert len(calls) <= 2 * math.ceil(math.log2(width / tol)) + 3
     assert lo <= root <= hi
     assert abs(root - r) <= tol or func(root) == 0.0, (root, r)
@@ -293,31 +278,55 @@ def test_bracket_solver_is_capped_on_a_high_order_root():
     # pure Illinois regula falsi creeps on (t - 0.3)^11; the step budget
     # hands the bracket to bisection
     func, calls = _counted(lambda t: (t - 0.3) ** 11)
-    root = _bisect_sign_change(func, 0.0, 1.0, 1e-12)
+    root = _bisect_sign_change(func, 0.0, 1.0, 1e-12, func(0.0), func(1.0))
     assert len(calls) <= 2 * math.ceil(math.log2(1e12)) + 3
     assert abs(root - 0.3) <= 1e-12 or func(root) == 0.0
 
 
 def test_bracket_solver_without_a_sign_change_bisects_toward_hi():
     func, calls = _counted(lambda t: 1.0 + t)
-    root = _bisect_sign_change(func, 0.0, 1.0, 1e-6)
+    root = _bisect_sign_change(func, 0.0, 1.0, 1e-6, func(0.0), func(1.0))
     assert 1.0 - 1e-6 <= root <= 1.0
     assert len(calls) == 2 + math.ceil(math.log2(1e6))
 
 
 def test_bracket_solver_returns_an_exact_zero_at_an_end():
-    assert _bisect_sign_change(lambda t: t - 1.0, 0.0, 1.0, 1e-12) == 1.0
-    assert _bisect_sign_change(lambda t: t, 0.0, 1.0, 1e-12) == 0.0
+    for func, end in ((lambda t: t - 1.0, 1.0), (lambda t: t, 0.0)):
+        assert _bisect_sign_change(func, 0.0, 1.0, 1e-12, func(0.0), func(1.0)) == end
     assert _bisect_sign_change(lambda t: 1.0 / 0.0, 0.0, 1.0, 1e-12, 0.0, -1.0) == 0.0
 
 
 def test_bracket_solver_survives_a_nan_inside_the_bracket():
     # the first secant step lands at 0.7, inside the NaN stretch
     func, calls = _counted(lambda t: float("nan") if 0.65 < t < 0.75 else t - 0.7)
-    root = _bisect_sign_change(func, 0.0, 1.0, 1e-12)
+    root = _bisect_sign_change(func, 0.0, 1.0, 1e-12, func(0.0), func(1.0))
     assert calls[2] == pytest.approx(0.7)
     assert 0.0 <= root <= 1.0
     assert len(calls) <= 2 * math.ceil(math.log2(1e12)) + 3
+
+
+def test_bracket_solver_ends_at_two_neighbouring_floats():
+    # tol lies below the spacing of the two ends, and no float lies between
+    # them: the bracket cannot narrow, so an end of it is returned
+    lo, hi = 0.5, float(np.nextafter(0.5, 1.0))
+    calls = []
+
+    def func(t):
+        calls.append(t)
+        if len(calls) > 200:
+            raise RuntimeError("the solver does not end")
+        return t - 0.5 - 1e-17
+    assert _bisect_sign_change(func, lo, hi, 1e-20, func(lo), func(hi)) in (lo, hi)
+
+
+@pytest.mark.parametrize("kind", BRACKET_KINDS)
+def test_bracket_solver_evaluates_as_the_two_loop_reference(kind):
+    # the same points in the same order and the same value as the two-loop
+    # solver it replaced, on drawn brackets where that one terminates
+    rng = np.random.default_rng(BRACKET_KINDS.index(kind))
+    for _ in range(300):
+        bracket = draw_bracket(rng, kind)
+        assert same_trace(traced(_bisect_sign_change, *bracket), traced(two_loop_solver, *bracket)), bracket[1:]
 
 
 @pytest.mark.parametrize("name,count", [("counterexample_1", 3), ("counterexample_2", 3), ("counterexample_3", 5)])

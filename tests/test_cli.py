@@ -4,7 +4,10 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +60,15 @@ def test_check_overflowing_literal_exits_two(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", ["(" * 600 + "s" + ")" * 600, "exp(" * 400 + "s" + ")" * 400],
+                         ids=["600 parentheses", "400 exp"])
+def test_check_nesting_deeper_than_the_stack_exits_two(model, capsys):
+    # the position depends on the stack depth, so it is not pinned
+    code, out, err = run(capsys, "check", model)
+    assert code == 2 and out == ""
+    assert err.startswith("error: expression nested too deeply (at position ") and err.count("\n") == 1
+
+
 def test_check_json_round_trips_at_full_precision(capsys):
     code, out, _ = run(capsys, "check", "s^1.1 * exp(s^10)", "--json")
     assert code == 1
@@ -95,6 +107,26 @@ def test_analyze_same_keyword_and_counts(capsys):
     assert out.count("inflection:") == 3
     code, out, _ = run(capsys, "analyze", "s^1.1*(1+15*s^30)", "same")
     assert out.count("inflection:") == 5
+
+
+def _inflections(out):
+    return [float(line.split()[1][2:]) for line in out.splitlines() if line.startswith("inflection:")]
+
+
+@pytest.mark.parametrize("tol", ["1e-16", "1e-320"])
+def test_analyze_tol_below_the_float_spacing_ends_next_to_the_roots(tol, capsys):
+    # below the float spacing at a root the solver stops at two neighbouring
+    # floats; a subprocess with a timeout keeps a solver that never ends
+    # from hanging the suite
+    _, out, _ = run(capsys, "analyze", "s^1.1*(1+15*s^30)", "same", "--tol", "1e-15")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fracflow.cli", "analyze", "s^1.1*(1+15*s^30)", "same", "--tol", tol],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr[-300:]
+    roots, near = _inflections(proc.stdout), _inflections(out)
+    assert len(roots) == len(near) == 5
+    assert max(abs(a - b) for a, b in zip(roots, near)) <= 2.5e-16
 
 
 def test_library_warnings_print_as_one_line_each(capsys):

@@ -1,6 +1,7 @@
 """Expression grammar, presets, and model algebra."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ def test_parse_unknown_identifier():
 def test_parse_exp_needs_parens():
     with pytest.raises(ParseError):
         ff.parse("exp s")
+
+
+def _parse_above(frames, text):
+    # parse text with that many more frames below it on the stack
+    return _parse_above(frames - 1, text) if frames else ff.parse(text)
+
+
+def test_parse_nesting_around_the_stack_limit_raises_parse_error():
+    # unclosed, so every depth is an error; a nesting level takes 5 frames,
+    # so with 0-4 more below, the stack runs out at every token there is,
+    # the end of input included
+    around = sys.getrecursionlimit() // 5
+    for frames in range(5):
+        for depth in range(around - 60, around + 10):
+            with pytest.raises(ParseError):
+                _parse_above(frames, "(" * depth)
 
 
 def test_parse_trailing_garbage():
