@@ -40,7 +40,6 @@ from .flux import (
     inflection_points,
 )
 from .riemann import (
-    Chord,
     ContactArc,
     Rarefaction,
     RiemannProblem,
@@ -61,5 +60,5 @@ __all__ = [
     "FluxAnalysis", "Inflection", "f_jet", "f_value", "f2_closed",
     "find_s1", "find_s2", "inflection_points",
     "RiemannProblem", "WaveFan", "Shock", "Rarefaction", "ContactArc",
-    "Chord", "envelope", "riemann",
+    "envelope", "riemann",
 ]

@@ -19,6 +19,14 @@ from . import classifier, flux, models, riemann
 from .jet import DomainError
 from .models import ModelExpr, ModelPair, ParseError
 
+class _Parser(argparse.ArgumentParser):
+    """Takes an argument that begins with '-' but names no option, such as the
+    model '-s^2+2*s^2', for a positional one, as after '--'."""
+    def _parse_optional(self, arg_string):
+        found = super()._parse_optional(arg_string)  # (action, ...), or a list of them from Python 3.12
+        return None if found and (found[0] if isinstance(found, list) else found)[0] is None else found
+
+
 def _load_model_arg(text: str, key: str) -> ModelExpr:
     """Inline expression or model-spec file path; files contribute `key`."""
     if os.path.exists(text):
@@ -187,7 +195,7 @@ def cmd_riemann(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracflow",
         description="Analyze two-phase relative-mobility models and their fractional-flow functions.",
     )

@@ -2,8 +2,9 @@
 
 For s_L < s_R the entropy solution follows the lower convex envelope of f
 on [s_L, s_R]; for s_L > s_R the upper concave envelope on [s_R, s_L].
-Arcs where the envelope coincides with f become rarefactions, straight
-chords become shocks travelling at the chord slope (Rankine-Hugoniot).
+envelope(flux, s_L, s_R) returns its pieces in fan order: straight chords
+as shocks travelling at the chord slope (Rankine-Hugoniot), and arcs where
+it coincides with f as ContactArcs, which solve turns into rarefactions.
 
 The envelope itself is built from a monotone-chain hull over a dense
 sample of the graph; a hull edge whose own samples all lie within dev_tol
@@ -14,12 +15,13 @@ The test reads the samples the hull was built from, all edges in one array
 pass; each run of adjacent contact edges becomes one arc.  The chain
 (Andrew, Inf. Proc. Lett. 9, 1979) visits only the samples whose cross
 product with their two neighbours is >= 0; any other lies above its
-neighbours' chord and is never a vertex.  Through a run of neighbours whose
-cross products are > 0 the chain's tests are those same products, so it
-appends the run untested.  A streak of samples that each pop only the one
-before them (a convex run under a chord), and a pop back through a block of
-consecutive vertices, go to numpy once they are long; it computes the
-chain's own cross products, so every decision is the chain's.
+neighbours' chord.  Through a run of neighbours whose cross products are > 0
+the chain appends the run untested.  A streak of samples that each pop only
+the one before them (a convex run under a chord), and a pop back through a
+block of consecutive vertices, go to numpy once they are long, with the
+chain's own cross products.  The hull is the plain chain's over every
+sample up to vertices collinear with their hull neighbours within rounding,
+which the skipped tests may keep where the plain chain pops them.
 
 Both curve kinds share one deriv: a scalar straight-line program for f and
 f' (for a pair: m_a at s and m_b at 1 - s fused into one program), bit for
@@ -114,16 +116,9 @@ def _as_curve(flux):
 
 @dataclass(frozen=True)
 class ContactArc:
-    s_lo: float
-    s_hi: float
+    left_state: float
+    right_state: float
     samples: tuple | None = field(default=None, repr=False, compare=False)  # set by envelope
-
-
-@dataclass(frozen=True)
-class Chord:
-    s_lo: float
-    s_hi: float
-    slope: float
 
 
 @dataclass(frozen=True)
@@ -175,7 +170,8 @@ def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     vertex's own cross product, same operands and formula, so a run of
     neighbours with cross products > 0 is appended untested.  A streak, or a
     pop back through consecutive vertices, that outlasts _LONG chain steps
-    is tested in numpy with the chain's operands and formula.
+    is tested in numpy with the chain's operands and formula.  The result is
+    the plain chain's up to vertices collinear within rounding.
     """
     x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
     y0, y1, y2 = ys[:-2], ys[1:-1], ys[2:]
@@ -234,23 +230,18 @@ def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return index[np.fromiter(hull, np.intp, len(hull))]
 
 
-def envelope(flux, a: float, b: float, orientation: str):
-    """Lower convex or upper concave envelope of the flux on [a, b].
-
-    Returns a contiguous, s-ordered list of ContactArc and Chord pieces
-    tiling [a, b].  orientation is "convex_lower" or "concave_upper"; the
-    upper concave envelope of f is the lower convex envelope of -f, so the
-    construction runs on sign*f with sign = -1 for it.  A flux sample that
-    is not finite raises DomainError.
+def envelope(flux, s_left: float, s_right: float):
+    """The fan's contiguous ContactArc and Shock pieces from s_left to
+    s_right, [] for equal states.  The upper concave envelope of f is the
+    lower convex envelope of -f, so the construction runs on sign*f over the
+    states in ascending order [a, b], and a descending fan takes its pieces
+    in reverse.  A flux sample that is not finite raises DomainError.
     """
-    if orientation not in ("convex_lower", "concave_upper"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    if a == b:
+    if s_left == s_right:
         return []
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
     curve = _as_curve(flux)
-    sign = 1.0 if orientation == "convex_lower" else -1.0
+    sign = 1.0 if s_left < s_right else -1.0
+    a, b = min(s_left, s_right), max(s_left, s_right)
     value = lambda t: sign * curve.value(t)
     deriv = lambda t: sign * curve.deriv(t)
 
@@ -295,9 +286,10 @@ def envelope(flux, a: float, b: float, orientation: str):
     def close(hi: float, chord: bool) -> None:
         nonlocal cut
         if hi > cut:
+            ends = (cut, hi) if sign > 0.0 else (hi, cut)
             i, j = xs.searchsorted(cut, "right"), xs.searchsorted(hi)  # the samples strictly inside
-            pieces.append(Chord(cut, hi, sign * float((value(hi) - value(cut)) / (hi - cut)))
-                          if chord else ContactArc(cut, hi, (xs[i:j], slopes[i:j - 1])))
+            pieces.append(Shock(*ends, sign * float((value(hi) - value(cut)) / (hi - cut)))
+                          if chord else ContactArc(*ends, (xs[i:j], slopes[i:j - 1])))
         cut = hi
 
     # walk the chords, then the end b, cutting by the module docstring's tiling rule
@@ -310,31 +302,17 @@ def envelope(flux, a: float, b: float, orientation: str):
         if k > start:
             close(lo, False)
         start, end = k + 1, hi
-    return pieces
+    return pieces if sign > 0.0 else pieces[::-1]
 
 
 def solve(problem: RiemannProblem) -> WaveFan:
-    """Wave fan of the Riemann problem by the envelope construction."""
+    """Wave fan of the Riemann problem by the envelope construction: each
+    contact arc becomes a rarefaction, its end speeds f' at its end states."""
     curve = _as_curve(problem.flux)
-    s_L, s_R = problem.s_L, problem.s_R
-    if s_L == s_R:
-        return WaveFan(s_L, s_R, [], curve)
-
-    # the fan runs from s_L to s_R: states ascend with xi on the lower convex
-    # envelope, descend on the upper concave one (pieces taken in reverse)
-    ascending = s_L < s_R
-    if ascending:
-        pieces = envelope(curve, s_L, s_R, "convex_lower")
-    else:
-        pieces = envelope(curve, s_R, s_L, "concave_upper")[::-1]
-    waves: list[Wave] = []
-    for p in pieces:
-        left, right = (p.s_lo, p.s_hi) if ascending else (p.s_hi, p.s_lo)
-        if isinstance(p, Chord):
-            waves.append(Shock(left, right, p.slope))
-        else:
-            waves.append(Rarefaction(left, right, curve.deriv(left), curve.deriv(right), p.samples))
-    return WaveFan(s_L, s_R, waves, curve)
+    waves: list[Wave] = [
+        Rarefaction(p.left_state, p.right_state, curve.deriv(p.left_state), curve.deriv(p.right_state), p.samples)
+        if isinstance(p, ContactArc) else p for p in envelope(curve, problem.s_L, problem.s_R)]
+    return WaveFan(problem.s_L, problem.s_R, waves, curve)
 
 
 def _near_bracket(w: Rarefaction, g, xi: float):

@@ -94,6 +94,41 @@ def test_check_usage_error_exits_two(capsys):
     assert main(["check"]) == 2
 
 
+NEG = "-s^2+2*s^2"  # s^2, typed with a leading minus
+
+
+@pytest.mark.parametrize("argv, after_dashes", [
+    (["check", NEG], ["check", "--", NEG]),
+    (["check", NEG, "--json"], ["check", "--json", "--", NEG]),
+    (["check", "--grid", "2000", NEG], ["check", "--grid", "2000", "--", NEG]),
+    (["analyze", NEG, "same"], ["analyze", "--", NEG, "same"]),
+    (["analyze", "s^4", NEG, "--tol", "1e-10"], ["analyze", "--tol", "1e-10", "--", "s^4", NEG]),
+    (["riemann", NEG, "same", "1", "0"], ["riemann", "--", NEG, "same", "1", "0"]),
+    (["riemann", "s^4", NEG, "0.2", "0.9"], ["riemann", "--", "s^4", NEG, "0.2", "0.9"]),
+    (["check", "-s^"], ["check", "--", "-s^"]),
+], ids=["check", "check json", "check grid", "analyze", "analyze second", "riemann", "riemann second",
+        "parse error"])
+def test_a_model_that_begins_with_a_minus_is_positional(argv, after_dashes, capsys):
+    # argparse would take "-s^2+2*s^2" for an unknown option and miss the model
+    assert run(capsys, *argv) == run(capsys, *after_dashes)
+    code, out, err = run(capsys, *argv)
+    if argv[1] == "-s^":
+        assert (code, out, err) == (2, "", "error: expected a numeric exponent after '^' (at position 3)\n")
+    else:
+        assert code in (0, 1) and out and not err
+
+
+def test_help_options_and_negative_states_keep_their_meaning(capsys):
+    code, out, _ = run(capsys, "check", "-h")
+    assert code == 0 and out.startswith("usage: fracflow check")
+    code, out, _ = run(capsys, "check", "s^2", "--json")
+    assert code == 0 and json.loads(out)["in_class_M"] is True
+    code, out, err = run(capsys, "riemann", "s^2", "same", "-0.5", "0")
+    assert (code, out) == (2, "") and err.startswith("error: states must lie in [0,1], got s_L=-0.5")
+    code, _, err = run(capsys, "check", "s^2", "--jsn")
+    assert code == 2 and "unrecognized arguments: --jsn" in err
+
+
 def test_analyze_symmetric_quartic(capsys):
     code, out, _ = run(capsys, "analyze", "s^4", "s^4")
     assert code == 0

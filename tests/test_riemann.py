@@ -1,5 +1,6 @@
 """Envelope construction, wave fans, and self-similar profiles."""
 
+import bisect
 import dataclasses
 import math
 
@@ -35,35 +36,36 @@ def welge_tangency_oracle():
 
 
 def test_convex_flux_is_its_own_lower_envelope():
-    pieces = rm.envelope(ff.parse("s^2"), 0.0, 1.0, "convex_lower")
+    pieces = rm.envelope(ff.parse("s^2"), 0.0, 1.0)
     assert len(pieces) == 1
     assert isinstance(pieces[0], rm.ContactArc)
-    assert (pieces[0].s_lo, pieces[0].s_hi) == (0.0, 1.0)
+    assert (pieces[0].left_state, pieces[0].right_state) == (0.0, 1.0)
 
 
 def test_convex_flux_concave_envelope_is_single_chord():
-    pieces = rm.envelope(ff.parse("s^2"), 0.0, 1.0, "concave_upper")
+    # a descending fan follows the upper concave envelope
+    pieces = rm.envelope(ff.parse("s^2"), 1.0, 0.0)
     assert len(pieces) == 1
-    chord = pieces[0]
-    assert isinstance(chord, rm.Chord)
-    assert (chord.s_lo, chord.s_hi) == (0.0, 1.0)
-    assert abs(chord.slope - 1.0) <= 1e-12
+    shock = pieces[0]
+    assert isinstance(shock, rm.Shock)
+    assert (shock.left_state, shock.right_state) == (1.0, 0.0)
+    assert abs(shock.speed - 1.0) <= 1e-12
 
 
 def test_quadratic_corey_concave_envelope_matches_welge_tangent():
     oracle = welge_tangency_oracle()
     assert abs(oracle - SQRT_HALF) <= 1e-12  # known closed form
-    pieces = rm.envelope(quadratic_pair(), 0.0, 1.0, "concave_upper")
+    pieces = rm.envelope(quadratic_pair(), 1.0, 0.0)
     assert len(pieces) == 2
-    chord, arc = pieces
-    assert isinstance(chord, rm.Chord) and isinstance(arc, rm.ContactArc)
-    assert chord.s_lo == 0.0
-    assert abs(chord.s_hi - oracle) <= 1e-8
-    assert abs(arc.s_hi - 1.0) <= 1e-12
+    arc, shock = pieces  # fan order: from 1 down to the tangent point, then the shock to 0
+    assert isinstance(shock, rm.Shock) and isinstance(arc, rm.ContactArc)
+    assert shock.right_state == 0.0
+    assert abs(shock.left_state - oracle) <= 1e-8
+    assert abs(arc.left_state - 1.0) <= 1e-12
 
 
 def test_degenerate_interval_yields_empty_envelope():
-    assert rm.envelope(ff.parse("s^2"), 0.3, 0.3, "convex_lower") == []
+    assert rm.envelope(ff.parse("s^2"), 0.3, 0.3) == []
 
 
 def test_envelope_sandwich_property():
@@ -74,15 +76,15 @@ def test_envelope_sandwich_property():
         a, b = sorted(rng.uniform(0.0, 1.0, 2))
         if b - a < 1e-3:
             continue
-        pieces = rm.envelope(curve, float(a), float(b), "convex_lower")
+        pieces = rm.envelope(curve, float(a), float(b))
         fa, fb = curve.value(float(a)), curve.value(float(b))
         for p in pieces:
-            for t in np.linspace(p.s_lo, p.s_hi, 20):
+            for t in np.linspace(p.left_state, p.right_state, 20):
                 t = float(t)
                 env = (
-                    curve.value(p.s_lo)
-                    + (t - p.s_lo) * p.slope
-                    if isinstance(p, rm.Chord)
+                    curve.value(p.left_state)
+                    + (t - p.left_state) * p.speed
+                    if isinstance(p, rm.Shock)
                     else curve.value(t)
                 )
                 # below the flux, above the end-to-end chord
@@ -230,7 +232,7 @@ def test_non_finite_flux_and_nan_xi_are_rejected():
     pair = ff.ModelPair(ff.parse("exp(1000*s)"), ff.parse("exp(1000*s)"))
     with np.errstate(over="ignore", invalid="ignore"):  # exp overflows, inf/inf is NaN
         with pytest.raises(ff.DomainError, match="non-finite flux value") as info:
-            rm.envelope(pair, 0.0, 1.0, "convex_lower")
+            rm.envelope(pair, 0.0, 1.0)
         xs = np.linspace(0.0, 1.0, rm.DEFAULT_SAMPLES + 1)
         assert info.value.index == int(np.flatnonzero(~np.isfinite(ff.f_value(pair, xs)))[0])
     fan = rm.solve(rm.RiemannProblem(1.0, 0.0, ff.ModelPair(ff.corey_a(), ff.corey_b())))
@@ -243,24 +245,18 @@ def test_chords_sharing_a_hull_vertex_meet_between_their_refined_ends():
     # envelope is two chords whose tangency points lie ~2e-5 apart in the dip,
     # closer than one sample spacing, so both chords end at one hull vertex
     curve = rm.ExprFlux(ff.parse("s*(1 - s) - 0.3*exp(-20000*(s - 0.4)^2)"))
-    pieces = rm.envelope(curve, 0.0, 1.0, "convex_lower")
-    assert [type(p) for p in pieces] == [rm.Chord, rm.Chord]
+    pieces = rm.envelope(curve, 0.0, 1.0)
+    assert [type(p) for p in pieces] == [rm.Shock, rm.Shock]
     left, right = pieces
-    assert (left.s_lo, left.s_hi, right.s_hi) == (0.0, right.s_lo, 1.0)
-    joint = left.s_hi
+    assert (left.left_state, left.right_state, right.right_state) == (0.0, right.left_state, 1.0)
+    joint = left.right_state
     assert abs(joint - 0.4) < 1.0 / rm.DEFAULT_SAMPLES
-    for chord in pieces:
-        assert chord.slope == (curve.value(chord.s_hi) - curve.value(chord.s_lo)) / (chord.s_hi - chord.s_lo)
+    for shock in pieces:
+        assert shock.speed == ((curve.value(shock.right_state) - curve.value(shock.left_state))
+                               / (shock.right_state - shock.left_state))
     # the joint is the mean of the two refined ends, where f' equals neither
     # chord's slope but lies about halfway between them
-    assert abs(curve.deriv(joint) - 0.5 * (left.slope + right.slope)) < 0.1 * (right.slope - left.slope)
-
-
-def test_envelope_orientation_validation():
-    with pytest.raises(ValueError):
-        rm.envelope(ff.parse("s^2"), 0.0, 1.0, "sideways")
-    with pytest.raises(ValueError):
-        rm.envelope(ff.parse("s^2"), 0.7, 0.3, "convex_lower")
+    assert abs(curve.deriv(joint) - 0.5 * (left.speed + right.speed)) < 0.1 * (right.speed - left.speed)
 
 
 CE3_FLUX = ("s^1.1*(1 + 15*s^30)/(s^1.1*(1 + 15*s^30) + (1 - s)^1.1*(1 + 15*(1 - s)^30))")
@@ -269,13 +265,15 @@ CE3_FLUX = ("s^1.1*(1 + 15*s^30)/(s^1.1*(1 + 15*s^30) + (1 - s)^1.1*(1 + 15*(1 -
 @pytest.mark.parametrize("text", ["s^2/(s^2 + (1 - s)^2)", "s^2", CE3_FLUX])
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 0.5), (0.05, 0.6), (0.3, 0.95)])
 def test_concave_envelope_is_the_convex_envelope_of_the_negated_flux(text, a, b):
-    # the upper concave envelope of f is exactly minus the lower convex
-    # envelope of -f: same pieces, same ends, chord slopes negated
-    upper = rm.envelope(ff.parse(text), a, b, "concave_upper")
-    lower = rm.envelope(ff.parse(f"-({text})"), a, b, "convex_lower")
+    # the upper concave envelope of f, the fan from b down to a, is exactly
+    # minus the lower convex envelope of -f, the fan from a up to b: the same
+    # pieces in reverse, each with its states swapped and shock speeds negated
+    upper = rm.envelope(ff.parse(text), b, a)
+    lower = rm.envelope(ff.parse(f"-({text})"), a, b)
     assert upper
     assert upper == [
-        rm.Chord(p.s_lo, p.s_hi, -p.slope) if isinstance(p, rm.Chord) else p for p in lower
+        rm.Shock(p.right_state, p.left_state, -p.speed) if isinstance(p, rm.Shock)
+        else rm.ContactArc(p.right_state, p.left_state) for p in reversed(lower)
     ]
 
 
@@ -535,6 +533,21 @@ def test_prefiltered_hull_matches_the_plain_chain(name, xs, ys, orientation):
     assert rm._lower_hull_indices(xs, sign * ys).tolist() == plain_lower_hull(xs, sign * ys)
 
 
+def test_hull_is_the_plain_chain_up_to_vertices_collinear_within_rounding():
+    # samples 0-11 step by -2, so sample 9 lies on the line through 0 and 11;
+    # its cross product with its neighbours is 6.9e-18, rounding noise, and
+    # the chain keeps it where the plain chain pops it
+    xs = np.linspace(0.0, 1.0, 450)
+    ys = -np.round(100.0 * np.sin(8.845527254079828 * xs))
+    hull, plain = set(rm._lower_hull_indices(xs, ys).tolist()), set(plain_lower_hull(xs, ys))
+    for v in hull ^ plain:
+        other = sorted(plain if v in hull else hull)  # the hull without v
+        k = bisect.bisect(other, v)
+        o, a = other[k - 1], other[k]
+        terms = ((xs[v] - xs[o]) * (ys[a] - ys[o]), (ys[v] - ys[o]) * (xs[a] - xs[o]))
+        assert abs(terms[0] - terms[1]) <= 1e-12 * (abs(terms[0]) + abs(terms[1])), v
+
+
 def scipy_lower_hull(xs, ys):
     """Lower hull vertices by Qhull: counterclockwise from the leftmost vertex
     to the rightmost one."""
@@ -556,12 +569,13 @@ def test_hull_vertices_match_qhull_in_general_position(seed):
 
 # -- chord test ---------------------------------------------------------------
 
-def per_edge_chords(curve, a, b, orientation):
-    """The envelope's chord test one hull edge at a time: the edge is a chord
-    where one of the samples it skips leaves the line through its ends by
-    more than dev_tol.  Returns the chords' end samples."""
-    sign = 1.0 if orientation == "convex_lower" else -1.0
-    xs = np.linspace(a, b, rm.DEFAULT_SAMPLES + 1)
+def per_edge_chords(curve, s_left, s_right):
+    """The envelope's chord test one hull edge at a time, over the fan's
+    states in ascending order: the edge is a chord where one of the samples
+    it skips leaves the line through its ends by more than dev_tol.  Returns
+    the chords' end samples, in ascending order."""
+    sign = 1.0 if s_left < s_right else -1.0
+    xs = np.linspace(min(s_left, s_right), max(s_left, s_right), rm.DEFAULT_SAMPLES + 1)
     ys = sign * np.asarray(rm._as_curve(curve).value(xs), dtype=float)
     dev_tol = 1e-12 * max(1.0, float(np.max(np.abs(ys))))
     hull = rm._lower_hull_indices(xs, ys).tolist()
@@ -579,35 +593,37 @@ def _cubic(c):
 
 CE3 = ff.models.parse(ff.models.COUNTEREXAMPLES[2])
 CHIERICI = ff.chierici(1.0, 3.0, 1.0)
-# (name, curve, a, b, orientation, chords found)
+# (name, curve, s_left, s_right, chords found); a descending fan ("concave")
+# follows the upper concave envelope
 CHORD_CASES = [
-    ("flat", rm.ExprFlux(ff.parse("0.5")), 0.01, 1.0, "convex_lower", 0),
-    ("underflowed", rm.ExprFlux(ff.parse("exp(-30/s)")), 0.01, 1.0, "convex_lower", 0),
-    ("underflowed, concave", rm.ExprFlux(ff.parse("exp(-30/s)")), 0.01, 1.0, "concave_upper", 0),
-    ("underflowed pair", ff.ModelPair(CHIERICI, CHIERICI), 0.0, 1.0, "concave_upper", 1),
+    ("flat", rm.ExprFlux(ff.parse("0.5")), 0.01, 1.0, 0),
+    ("underflowed", rm.ExprFlux(ff.parse("exp(-30/s)")), 0.01, 1.0, 0),
+    ("underflowed, concave", rm.ExprFlux(ff.parse("exp(-30/s)")), 1.0, 0.01, 0),
+    ("underflowed pair", ff.ModelPair(CHIERICI, CHIERICI), 1.0, 0.0, 1),
     # largest sample deviations 0.59 and 0.62 dev_tol, then 1.18 and 1.25 dev_tol
-    ("near-tangent within tol", _cubic(1e-11), 0.01, 1.0, "convex_lower", 0),
-    ("near-tangent within tol, concave", _cubic(1e-11), 0.01, 1.0, "concave_upper", 0),
-    ("near-tangent past tol", _cubic(2e-11), 0.01, 1.0, "convex_lower", 1),
-    ("near-tangent past tol, concave", _cubic(2e-11), 0.01, 1.0, "concave_upper", 1),
-    ("CE3 tangent chord", ff.ModelPair(CE3, CE3), 0.0, 1.0, "convex_lower", 1),
-    ("corey tangent chord", ff.ModelPair(ff.corey_a(), ff.corey_b()), 0.0, 1.0, "concave_upper", 1),
+    ("near-tangent within tol", _cubic(1e-11), 0.01, 1.0, 0),
+    ("near-tangent within tol, concave", _cubic(1e-11), 1.0, 0.01, 0),
+    ("near-tangent past tol", _cubic(2e-11), 0.01, 1.0, 1),
+    ("near-tangent past tol, concave", _cubic(2e-11), 1.0, 0.01, 1),
+    ("CE3 tangent chord", ff.ModelPair(CE3, CE3), 0.0, 1.0, 1),
+    ("corey tangent chord", ff.ModelPair(ff.corey_a(), ff.corey_b()), 1.0, 0.0, 1),
 ]
 
 
-@pytest.mark.parametrize("name,curve,a,b,orientation,n_chords", CHORD_CASES, ids=[c[0] for c in CHORD_CASES])
-def test_one_pass_chord_test_gives_the_per_chord_pieces(name, curve, a, b, orientation, n_chords):
-    pieces = rm.envelope(curve, a, b, orientation)
-    assert pieces[0].s_lo == a and pieces[-1].s_hi == b
-    assert all(p.s_hi == q.s_lo for p, q in zip(pieces, pieces[1:]))
-    assert all(p.s_lo < p.s_hi for p in pieces)
-    chords = [p for p in pieces if isinstance(p, rm.Chord)]
-    edges = per_edge_chords(curve, a, b, orientation)
-    assert len(chords) == len(edges) == n_chords
+@pytest.mark.parametrize("name,curve,s_left,s_right,n_chords", CHORD_CASES, ids=[c[0] for c in CHORD_CASES])
+def test_one_pass_chord_test_gives_the_per_chord_pieces(name, curve, s_left, s_right, n_chords):
+    pieces = rm.envelope(curve, s_left, s_right)
+    assert pieces[0].left_state == s_left and pieces[-1].right_state == s_right
+    assert all(p.right_state == q.left_state for p, q in zip(pieces, pieces[1:]))
+    sign = 1.0 if s_left < s_right else -1.0
+    assert all(sign * p.left_state < sign * p.right_state for p in pieces)
+    shocks = sorted(sorted((p.left_state, p.right_state)) for p in pieces if isinstance(p, rm.Shock))
+    edges = per_edge_chords(curve, s_left, s_right)
+    assert len(shocks) == len(edges) == n_chords
     # refinement slides each end by at most one spacing in each of 3 passes
-    h = (b - a) / rm.DEFAULT_SAMPLES
-    for chord, (lo, hi) in zip(chords, edges):
-        assert abs(chord.s_lo - lo) <= 3 * h and abs(chord.s_hi - hi) <= 3 * h
+    h = abs(s_right - s_left) / rm.DEFAULT_SAMPLES
+    for (s_lo, s_hi), (lo, hi) in zip(shocks, edges):
+        assert abs(s_lo - lo) <= 3 * h and abs(s_hi - hi) <= 3 * h
 
 
 def test_fan_records_its_samples_and_tolerances():
