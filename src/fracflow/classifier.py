@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,7 +175,8 @@ def criterion_T3(m: ModelExpr) -> float:
     j = m.eval_jet(0.5)
     if j.f0 == 0.0:
         raise DomainError("criterion undefined: m(0.5) = 0")
-    return float((j.f3 * j.f0 - 3.0 * j.f2 * j.f1) / j.f0 ** 4)
+    # divided through by m(0.5) term by term, so no m^4 underflows to a zero divisor
+    return float((j.f3 / j.f0 - 3.0 * (j.f2 / j.f0) * (j.f1 / j.f0)) / j.f0 / j.f0)
 
 
 def monotonicity_change_of_ratio(
@@ -290,11 +291,6 @@ def _bisect_sign_change(func, lo, hi, tol, f_lo, f_hi):
                 f_lo *= 0.5
             kept = -1
     return 0.5 * (lo + hi)
-
-
-def report_to_dict(report: ConditionReport) -> dict:
-    """JSON-ready dict mirroring ConditionReport."""
-    return asdict(report)
 
 
 def report_to_text(report: ConditionReport) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -43,11 +44,11 @@ def _load_pair(text_a: str, text_b: str) -> ModelPair:
     return ModelPair(m_a, m_b)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], *columns) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
+        for row in zip(*columns):
             writer.writerow([repr(float(v)) for v in row])
 
 
@@ -86,13 +87,12 @@ def _at_least_one(option: str, value: int) -> int:
     return value
 
 
-def _flux_table(pair: ModelPair, grid_n: int, eps: float):
-    """Rows (s, f, f2) on [0, 1]; f exact at the ends, f2 from clipped points."""
+def _flux_table(pair: ModelPair, grid_n: int):
+    """Columns s, f, f2 on [0, 1]; f exact at the ends, f2 at s clipped to
+    [DEFAULT_EPS, 1 - DEFAULT_EPS]."""
     s = np.linspace(0.0, 1.0, grid_n)
-    f = flux.f_value(pair, s)
-    s_clipped = np.clip(s, eps, 1.0 - eps)
-    f2 = np.asarray(flux.f_taylor(pair, s_clipped, 2)[2], dtype=float)
-    return zip(s, f, f2)
+    s_clipped = np.clip(s, flux.DEFAULT_EPS, 1.0 - flux.DEFAULT_EPS)
+    return s, flux.f_value(pair, s), np.asarray(flux.f_taylor(pair, s_clipped, 2)[2], dtype=float)
 
 
 def cmd_check(args) -> int:
@@ -104,14 +104,9 @@ def cmd_check(args) -> int:
     else:
         targets = [("m", models.parse(args.model))]
 
-    all_in = True
-    reports = {}
-    for name, m in targets:
-        report = classifier.check_conditions(m, grid_n=args.grid, eps=args.eps)
-        reports[name] = report
-        all_in = all_in and report.in_class_M
+    reports = {name: classifier.check_conditions(m, grid_n=args.grid, eps=args.eps) for name, m in targets}
     if args.json:
-        payload = {name: classifier.report_to_dict(r) for name, r in reports.items()}
+        payload = {name: dataclasses.asdict(r) for name, r in reports.items()}
         if len(reports) == 1:
             payload = next(iter(payload.values()))
         print(json.dumps(payload, indent=2))
@@ -120,7 +115,7 @@ def cmd_check(args) -> int:
             if len(reports) > 1:
                 print(f"[{name}]")
             print(classifier.report_to_text(report))
-    return 0 if all_in else 1
+    return 0 if all(r.in_class_M for r in reports.values()) else 1
 
 
 def cmd_analyze(args) -> int:
@@ -128,12 +123,11 @@ def cmd_analyze(args) -> int:
     analysis = flux.inflection_points(pair, grid_n=args.grid, tol=args.tol)
     print(flux.analysis_to_text(analysis))
     if args.csv or args.svg:
-        rows = list(_flux_table(pair, args.grid, flux.DEFAULT_EPS))
+        s, f, f2 = _flux_table(pair, args.grid)
         if args.csv:
-            _write_csv(args.csv, ["s", "f", "f2"], rows)
+            _write_csv(args.csv, ["s", "f", "f2"], s, f, f2)
         if args.svg:
-            s = [r[0] for r in rows]
-            _write_svg(args.svg, s, [r[1] for r in rows], "fractional flow")
+            _write_svg(args.svg, s, f, "fractional flow")
     return 0
 
 
@@ -146,26 +140,16 @@ def cmd_figures(args) -> int:
         m = models.parse(text)
         pair = ModelPair(m, m)
         analysis = flux.inflection_points(pair)
-        rows = list(_flux_table(pair, grid_n, flux.DEFAULT_EPS))
-        f_csv = os.path.join(args.out, f"{name}_f.csv")
-        f2_csv = os.path.join(args.out, f"{name}_f2.csv")
-        _write_csv(f_csv, ["s", "f"], [(r[0], r[1]) for r in rows])
-        _write_csv(f2_csv, ["s", "f2"], [(r[0], r[2]) for r in rows])
-        entry = {
-            "name": name,
-            "expression": text,
-            "inflections": len(analysis.inflections),
-            "f_csv": os.path.basename(f_csv),
-            "f2_csv": os.path.basename(f2_csv),
-        }
+        s, f, f2 = _flux_table(pair, grid_n)
+        curves = (("f", f, "f"), ("f2", f2, "f''"))
+        entry = {"name": name, "expression": text, "inflections": len(analysis.inflections)}
+        for label, y, _ in curves:
+            entry[f"{label}_csv"] = f"{name}_{label}.csv"
+            _write_csv(os.path.join(args.out, entry[f"{label}_csv"]), ["s", label], s, y)
         if args.svg:
-            f_svg = os.path.join(args.out, f"{name}_f.svg")
-            f2_svg = os.path.join(args.out, f"{name}_f2.svg")
-            s = [r[0] for r in rows]
-            _write_svg(f_svg, s, [r[1] for r in rows], f"{name}: f")
-            _write_svg(f2_svg, s, [r[2] for r in rows], f"{name}: f''")
-            entry["f_svg"] = os.path.basename(f_svg)
-            entry["f2_svg"] = os.path.basename(f2_svg)
+            for label, y, title in curves:
+                entry[f"{label}_svg"] = f"{name}_{label}.svg"
+                _write_svg(os.path.join(args.out, entry[f"{label}_svg"]), s, y, f"{name}: {title}")
         manifest["pairs"].append(entry)
     with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -189,8 +173,7 @@ def cmd_riemann(args) -> int:
         lo = min(speeds) - 0.5 if speeds else -1.0
         hi = max(speeds) + 0.5 if speeds else 1.0
         xi = np.linspace(lo, hi, samples)
-        rows = [(x, riemann.evaluate(fan, float(x))) for x in xi]
-        _write_csv(args.profile, ["xi", "s"], rows)
+        _write_csv(args.profile, ["xi", "s"], xi, [riemann.evaluate(fan, float(x)) for x in xi])
     return 0
 
 

@@ -102,19 +102,10 @@ def f_jet(pair: ModelPair, s: Real) -> Jet3:
 
 def f_value(pair: ModelPair, s: Real) -> Real:
     """Flux value only (order 0 of f_taylor), extended by the exact limits
-    f(0) = 0 and f(1) = 1."""
+    f(0) = 0 and f(1) = 1; an array is evaluated whole and gives float64."""
     if isinstance(s, np.ndarray):
-        out = (s == 1.0).astype(float)  # f(0) = 0 and f(1) = 1; the interior follows
-        interior = (s != 0.0) & (s != 1.0)
-        if np.any(interior):
-            try:
-                out[interior] = f_taylor(pair, s[interior], 0)[0]
-            except DomainError as exc:
-                # the failing element's index into s, not into s[interior]
-                index = int(np.flatnonzero(interior)[exc.index])
-                head, _, value = str(exc).rpartition(f"s[{exc.index}]=")
-                raise DomainError(f"{head}s[{index}]={value}", index) from None
-        return out
+        ends = (s == 0.0) | (s == 1.0)  # masked as NaN, which fails no domain check that reads s
+        return np.where(ends, s, f_taylor(pair, np.where(ends, np.nan, s), 0)[0]).astype(float, copy=False)
     if s == 0.0:
         return 0.0
     if s == 1.0:

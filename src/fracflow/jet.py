@@ -150,7 +150,7 @@ class Tape:
         return f"k{len(self.consts) - 1}"
 
     def check(self, x: str, op: str, message: str) -> None:
-        """Raise DomainError(message) where `x op 0.0` holds."""
+        """Raise DomainError(message) where `x op 0.0` holds; NaN never fails a check."""
         if x in self.known and not _OPS[op](self.known[x], 0.0):
             return
         bad = f"{x} {op} 0.0"

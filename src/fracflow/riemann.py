@@ -249,7 +249,8 @@ def envelope(flux, s_left: float, s_right: float):
     ys = np.asarray(value(xs), dtype=float)
     _require_finite(xs, ys, "flux value")
     hull = _lower_hull_indices(xs, ys)
-    slopes = np.diff(ys) / np.diff(xs)  # an arc keeps views of its samples and these
+    with np.errstate(divide="ignore", invalid="ignore"):  # [a, b] may hold fewer floats than samples
+        slopes = np.diff(ys) / np.diff(xs)  # an arc keeps views of its samples and these
 
     # a chord that never leaves the curve by more than value resolution is
     # contact structure from flat (e.g. underflowed) stretches, not a shock

@@ -1,4 +1,5 @@
-"""Every benchmark pool entry's answer, dumped, and two dumps diffed.
+"""Every benchmark pool entry's and cli command's answer, dumped, and two
+dumps diffed.
 
     python tests/answers.py dump --out FILE
     python tests/answers.py diff A B
@@ -8,37 +9,47 @@ pools (read through perfbench/workloads.py, as the benchmark runs them) with
 the fracflow found on PYTHONPATH.  Per entry it writes the repr of each field
 of the answer: a ConditionReport, a FluxAnalysis, or a fan's waves with its
 201-point profile, plus the warnings the entry raised.  An entry that raises
-an error records the error's type and message instead.  To compare a change
-with its parent, dump the parent from a copy of its tree on its own
-PYTHONPATH:
+an error records the error's type and message instead.  It then runs the cli
+workload's commands in this process, through fracflow.cli.main, into a
+temporary directory, and writes a `cli` section: per command its exit code,
+stdout and stderr with that directory masked, and per file it writes the
+file's sha256 and its perfbench digest (the numbers the cli golden
+compares).  To compare a change with its parent, dump the parent from a
+copy of its tree on its own PYTHONPATH:
 
     git archive HEAD~1 | tar -x -C ../parent
     PYTHONPATH=../parent/src python tests/answers.py dump --out parent.json
     PYTHONPATH=src python tests/answers.py dump --out change.json
     python tests/answers.py diff parent.json change.json
 
-`diff` prints, per workload, the identical and changed counts; per field, how
-many entries it changed in and the largest absolute and relative numeric
-moves, each with its entry key; and every error that appears, vanishes or
-changes.  A relative move is the move over the larger of the two numbers'
-magnitudes.  A field whose text differs other than in its numbers, such as
-a verdict, a wave kind or a count of inflections, is reported as changed in
-form, with its first entry key.  Changes are printed, not judged: `diff`
+`diff` prints, per workload and for the cli section, the identical and
+changed counts; per field, how many entries it changed in and the largest
+absolute and relative numeric moves, each with its entry key; and every
+error that appears, vanishes or changes.  A relative move is the move over
+the larger of the two numbers' magnitudes.  A field whose text differs other
+than in its numbers, such as a verdict, a wave kind, a count of inflections
+or a file's sha256, is reported as changed in form, with its first entry
+key.  Changes are printed, not judged: `diff`
 exits 0 whatever it finds.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import re
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 WORKLOADS = ("check_sweep", "analyze_sweep", "riemann_fans")
+SECTIONS = WORKLOADS + ("cli",)
 # a number in a repr, but not a digit inside a name such as c4 or float64
 _NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)(?![\w.])")
 
@@ -62,9 +73,33 @@ def answer(workloads, workload: str, key: str, stratum: str, spec: dict) -> dict
     return out
 
 
+def cli_answers(workloads) -> dict:
+    """{command: {field: text}} of the cli workload's commands, each run
+    through fracflow.cli.main into one temporary directory, or {"error": ...}."""
+    from fracflow.cli import main
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, _, argv in workloads.cli_commands(Path(tmp)):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                answer = {"exit": repr(code), "stdout": stdout.getvalue().replace(tmp, "<out>"),
+                          "stderr": stderr.getvalue().replace(tmp, "<out>")}
+                for file in workloads.CLI_FILES.get(name, []):
+                    path = Path(tmp) / file
+                    answer[f"{file} sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                    answer[file] = repr(workloads.file_digest(path))
+            except Exception as exc:  # an answer like any other
+                answer = {"error": f"{type(exc).__name__}: {exc}"}
+            out[name] = answer
+    return out
+
+
 def collect(per_stratum: int | None = None) -> dict:
-    """{workload: {key: answer}} over every pool entry, or over the first
-    per_stratum entries of each stratum."""
+    """{section: {key: answer}} over every pool entry, or over the first
+    per_stratum entries of each stratum, and over the cli commands."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads  # imports fracflow, which diff does not need
 
@@ -75,6 +110,7 @@ def collect(per_stratum: int | None = None) -> dict:
             for index, entry in enumerate(entries[:per_stratum]):
                 key = f"{stratum}/{index}"
                 out[workload][key] = answer(workloads, workload, key, stratum, entry["input"])
+    out["cli"] = cli_answers(workloads)
     return out
 
 
@@ -96,7 +132,7 @@ def numeric_move(a: str, b: str) -> tuple[float, float] | None:
 def compare(a: dict, b: dict) -> list[str]:
     """The diff's report lines, A the old dump and B the new one."""
     lines = []
-    for workload in [w for w in WORKLOADS if w in a or w in b]:
+    for workload in [w for w in SECTIONS if w in a or w in b]:
         old, new = a.get(workload, {}), b.get(workload, {})
         keys = [k for k in old if k in new]
         same = sum(old[k] == new[k] for k in keys)
@@ -140,9 +176,9 @@ def compare(a: dict, b: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Dump or diff the answers of every benchmark pool entry.")
+    parser = argparse.ArgumentParser(description="Dump or diff the answers of every benchmark pool entry and cli command.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("dump", help="write every pool entry's answer as JSON")
+    p = sub.add_parser("dump", help="write every pool entry's and cli command's answer as JSON")
     p.add_argument("--out", required=True, help="output file")
     p = sub.add_parser("diff", help="compare two dumps, A the old one")
     p.add_argument("a")

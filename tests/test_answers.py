@@ -1,6 +1,7 @@
 """The committed answer diff (tests/answers.py) on the first entry of each
-pool stratum: a dump diffed with itself reports no change, and a moved
-number, a changed verdict and an error are each found in a perturbed copy."""
+pool stratum and on the cli commands: a dump diffed with itself reports no
+change, and a moved number, a changed verdict, an error and a changed file
+are each found in a perturbed copy."""
 
 import ast
 import copy
@@ -14,7 +15,11 @@ def test_answer_diff_finds_nothing_in_a_dump_and_each_change_in_a_perturbed_copy
         "check_sweep: 6 identical, 0 changed",
         "analyze_sweep: 4 identical, 0 changed",
         "riemann_fans: 3 identical, 0 changed",
+        "cli: 5 identical, 0 changed",
     ]
+    assert all(dump["cli"][name]["exit"] == "0" for name in ("check_s2", "analyze_ce3", "figures", "riemann"))
+    assert dump["cli"]["check_ce1"]["exit"] == "1"
+    assert dump["cli"]["figures"]["stdout"] == "wrote 6 data files and manifest.json to <out>/figs\n"
     changed = copy.deepcopy(dump)
     fan = changed["riemann_fans"]["counterexample/0"]
     profile = ast.literal_eval(fan["profile"])
@@ -23,6 +28,9 @@ def test_answer_diff_finds_nothing_in_a_dump_and_each_change_in_a_perturbed_copy
     report = changed["check_sweep"]["chierici/0"]
     report["c1"] = repr("fail" if ast.literal_eval(report["c1"]) == "pass" else "pass")
     changed["analyze_sweep"]["known/0"] = {"error": "DomainError: float overflow"}
+    check = changed["cli"]["check_s2"]
+    check["stdout"] = check["stdout"].replace("criterion_T3: -1536.0", "criterion_T3: -1536.0000000000002")
+    changed["cli"]["riemann"]["profile.csv sha256"] = "0" * 64
     lines = answers.compare(dump, changed)
     assert lines[0] == "check_sweep: 5 identical, 1 changed"
     assert lines[1] == "  c1: 1 changed in form, first at chierici/0"
@@ -30,7 +38,10 @@ def test_answer_diff_finds_nothing_in_a_dump_and_each_change_in_a_perturbed_copy
                           "  error appears at known/0: DomainError: float overflow"]
     assert lines[4] == "riemann_fans: 2 identical, 1 changed"
     assert lines[5].startswith("  profile: 1 changed, largest move 1e-09 at counterexample/0, relative ")
-    assert len(lines) == 6
+    assert lines[6:9] == ["cli: 3 identical, 2 changed",
+                          "  stdout: 1 changed, largest move 2.27e-13 at check_s2, relative 1.48e-16 at check_s2",
+                          "  profile.csv sha256: 1 changed in form, first at riemann"]
+    assert len(lines) == 9
     assert "  error vanishes at known/0: DomainError: float overflow" in answers.compare(changed, dump)
 
 

@@ -1,13 +1,15 @@
 """Admissibility condition checks and ratio monotonicity."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fracflow as ff
-from fracflow.classifier import (_bisect_sign_change, check_conditions, report_to_dict, report_to_text,
+from fracflow.classifier import (_bisect_sign_change, check_conditions, report_to_text,
                                  sign_changes)
 from fracflow.flux import f_taylor
 
@@ -100,6 +102,22 @@ def test_criterion_signs_for_counterexamples():
 def test_criterion_value_for_quadratic():
     # m = s^2: (m''/m^3)' = -12 s^-7, so -12 * 2^7 = -1536 at one half
     assert rel_close(ff.criterion_T3(ff.power(1, 2)), -1536.0, 1e-12)
+
+
+def test_criterion_value_whose_m_to_the_fourth_underflows():
+    # m(0.5)^4 is 2^-1200 for s^300 and 6.25e-402 for 1e-100*s^2, below the smallest float
+    assert rel_close(ff.criterion_T3(ff.power(1, 300)), _t3_mpmath(lambda s: s ** 300), 1e-12)
+    scaled, plain = check_conditions(ff.parse("1e-100*s^2")), check_conditions(ff.parse("s^2"))
+    verdicts = lambda r: (r.c1, r.c2, r.c3, r.c4, r.c4star, r.in_class_M)
+    assert verdicts(scaled) == verdicts(plain) == ("pass",) * 5 + (True,)
+    assert rel_close(scaled.criterion_T3, -1536.0e200, 1e-12)
+
+
+def _t3_mpmath(m):
+    """(m'''*m - 3*m''*m')/m^4 at s = 0.5, to 50 digits."""
+    with mpmath.workdps(50):
+        d = [mpmath.diff(m, mpmath.mpf(0.5), k) for k in range(4)]
+        return float((d[3] * d[0] - 3 * d[2] * d[1]) / d[0] ** 4)
 
 
 def test_ratio_change_location_for_first_counterexample():
@@ -233,7 +251,7 @@ def test_reports_are_deterministic():
 
 def test_report_serialization_mirrors_fields():
     r = check_conditions(ff.power(1, 2))
-    d = report_to_dict(r)
+    d = dataclasses.asdict(r)  # what `fracflow check --json` prints
     assert d["c1"] == "pass" and d["in_class_M"] is True
     assert set(d) >= {"c1", "c2", "c3", "c4", "c4star", "in_class_M", "witnesses", "criterion_T3"}
     text = report_to_text(r)

@@ -34,6 +34,15 @@ def test_check_admissible_exits_zero(capsys):
     assert "in_class_M: true" in out
 
 
+def test_check_power_whose_m_to_the_fourth_underflows_exits_zero(capsys):
+    code, out, err = run(capsys, "check", "s^300")
+    assert (code, err) == (0, "")
+    assert "in_class_M: true" in out
+    t3 = float(next(line for line in out.splitlines() if line.startswith("criterion_T3:")).split()[1])
+    # m''/m^3 = 300*299*s^-602, so T3 = -300*299*602*2^603, here in exact integers
+    assert abs(t3 - -300 * 299 * 602 * 2 ** 603) <= 1e-12 * abs(t3)
+
+
 def test_check_counterexample_exits_one(capsys):
     code, out, _ = run(capsys, "check", "s^1.1 * exp(s^10)")
     assert code == 1

@@ -282,6 +282,29 @@ def test_division_by_zero_raises_in_both_paths(order):
     assert info.value.index == 2
 
 
+# one case per kind of domain check, each failing at s = 0.25: (name, evaluate, orders, message)
+_NAN_CASES = [
+    ("zero divisor", ff.parse("1/(s - 0.25)").taylor, (0, 1, 2, 3), "division by"),
+    ("zero total mobility", functools.partial(f_taylor, ff.ModelPair(ff.parse("s - s"), ff.parse("s - s"))),
+     (0, 1, 2, 3), "zero total mobility"),
+    ("non-positive base", ff.parse("(s - 0.5)^1.5").taylor, (0, 1, 2, 3), "non-integer power 1.5 of a n"),
+    ("zero to a negative power", ff.parse("(s - 0.25)^-2").taylor, (0,), "zero raised to negative power"),
+]
+
+
+@pytest.mark.parametrize("evaluate, order, message", [
+    pytest.param(evaluate, k, message, id=f"{name}-{k}") for name, evaluate, orders, message in _NAN_CASES
+    for k in orders])
+def test_nan_fails_no_domain_check(evaluate, order, message):
+    # flux.f_value masks the exact ends of an array as NaN and relies on this
+    with np.errstate(all="raise"):
+        jet = evaluate(np.array([np.nan, np.nan]), order)
+        assert all(np.isnan(c).all() for c in jet)
+        with pytest.raises(ff.DomainError, match=rf"{message}.* at s\[1\]=0\.25$") as info:
+            evaluate(np.array([np.nan, 0.25]), order)
+    assert info.value.index == 1
+
+
 @pytest.mark.parametrize("text,s", [
     ("1/(s - 0.5)", 0.5), ("1/s", 0.0), ("s^-2", 0.0), ("(s - 0.5)^-1", 0.5),
     ("s^-1.5", 0.0), ("s/(s*s)", 0.0), ("exp(1/s)", 0.0), ("((1 - 2)^0.5)^1.5", 0.5),

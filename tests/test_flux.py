@@ -103,6 +103,28 @@ def test_boundary_values():
         assert f_value(pair, 1.0) == 1.0
 
 
+def _f_value_by_interior(pair, s):
+    """The array f_value as the interior's values scattered between exact ends."""
+    out = np.array(s == 1.0, dtype=float)
+    interior = (s != 0.0) & (s != 1.0)
+    if np.any(interior):
+        out[interior] = f_taylor(pair, s[interior], 0)[0]
+    return out
+
+
+@pytest.mark.parametrize("s", [
+    np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 12).reshape(3, 4), np.array([0, 1, 1, 0]),
+    np.array([[0, 1], [1, 0]]), np.linspace(0.0, 1.0, 9, dtype=np.float32), np.array([1.0, 0.0, 1.0]),
+    np.array([]), np.array([], dtype=int), np.array(0.3), np.array(1.0),
+], ids=["1-D", "2-D", "int", "int 2-D", "float32", "all ends", "empty", "empty int", "0-D", "0-D end"])
+@pytest.mark.parametrize("pair", [symmetric("s^1.1 * exp(s^10)"), ff.ModelPair(ff.chierici(1, 8, 1), ff.parse("s^2"))],
+                         ids=["CE1 same", "Chierici s^2"])
+def test_array_f_value_is_the_interior_between_exact_ends_in_float64(s, pair):
+    got = f_value(pair, s)
+    assert got.dtype == np.float64 and got.shape == s.shape
+    assert got.tobytes() == _f_value_by_interior(pair, s).tobytes()
+
+
 def test_find_s1_s2_symmetric_pair():
     pair = symmetric("s^2")
     assert abs(find_s1(pair) - 0.5) <= 1e-9

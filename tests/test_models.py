@@ -259,3 +259,6 @@ def test_array_f_value_names_the_failing_element_of_the_whole_input():
     with pytest.raises(ff.DomainError, match=r"\(s - 0\.5\)\^1\.5 at s\[3\]=0\.25$") as info:
         ff.f_value(pair, np.array([1.0, 0.0, 0.25, 0.75]))  # m_b fails at 1 - 0.75
     assert info.value.index == 3
+    with pytest.raises(ff.DomainError, match=r"\(s - 0\.5\)\^1\.5 at s\[2\]=0\.25$") as info:
+        ff.f_value(pair, np.array([[1.0, 0.25], [0.75, 0.0]]))  # a flat index
+    assert info.value.index == 2

@@ -3,6 +3,7 @@
 import bisect
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,20 @@ def test_equal_states_give_empty_fan():
     assert fan.waves == []
     assert rm.evaluate(fan, -1.0) == 0.3
     assert rm.evaluate(fan, 5.0) == 0.3
+
+
+@pytest.mark.parametrize("s_L, s_R", [(0.5, math.nextafter(0.5, 1.0)), (math.nextafter(0.5, 1.0), 0.5),
+                                      (0.3, 0.3 + 2e-16), (1.0, math.nextafter(1.0, 0.0))])
+def test_states_fewer_floats_apart_than_samples_give_one_rarefaction_and_no_warning(s_L, s_R):
+    # most of the samples on so short an interval repeat one float: their slopes are 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fan = rm.solve(rm.RiemannProblem(s_L, s_R, quadratic_pair()))
+        profile = [rm.evaluate(fan, xi) for xi in np.linspace(-1.0, 3.0, 201)]
+    (wave,) = fan.waves
+    assert isinstance(wave, rm.Rarefaction) and (wave.left_state, wave.right_state) == (s_L, s_R)
+    assert profile[0] == s_L and profile[-1] == s_R
+    assert all(min(s_L, s_R) <= s <= max(s_L, s_R) for s in profile)
 
 
 def test_quadratic_corey_drainage_fan():
