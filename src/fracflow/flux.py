@@ -65,16 +65,17 @@ def _flux_program(order: int, array: bool):
     return tape.build([*a, *b], _flux_rule(tape, a, b))
 
 
-def pair_program(pair: ModelPair):
-    """Scalar f and f' at s as one program, cached on the pair: m_a at s,
-    m_b at a local 1 - s, then the flux rule.  Its values are f_taylor's at
-    order 1 bit for bit; its DomainError does not name the point."""
-    if 1 not in pair._programs:
+def pair_program(pair: ModelPair, order: int = 1):
+    """Scalar f and its first `order` derivatives at s as one program,
+    compiled on first use and cached on the pair per order: m_a at s, m_b at
+    a local 1 - s, then the flux rule.  Its values are f_taylor's at that
+    order bit for bit; its DomainError does not name the point."""
+    if order not in pair._programs:
         tape = Tape(False)
-        a = tape.opaque(_emit(tape, pair.m_a, "s", 1))
-        b = tape.opaque(_emit(tape, pair.m_b, tape.let("1.0 - s"), 1))
-        pair._programs[1] = tape.build(["s"], _flux_rule(tape, a, b))
-    return pair._programs[1]
+        a = tape.opaque(_emit(tape, pair.m_a, "s", order))
+        b = tape.opaque(_emit(tape, pair.m_b, tape.let("1.0 - s"), order))
+        pair._programs[order] = tape.build(["s"], _flux_rule(tape, a, b))
+    return pair._programs[order]
 
 
 def _jets(pair: ModelPair, s: Real, order: int) -> tuple:
@@ -105,7 +106,17 @@ def f_value(pair: ModelPair, s: Real) -> Real:
     f(0) = 0 and f(1) = 1; an array is evaluated whole and gives float64."""
     if isinstance(s, np.ndarray):
         ends = (s == 0.0) | (s == 1.0)  # masked as NaN, which fails no domain check that reads s
-        return np.where(ends, s, f_taylor(pair, np.where(ends, np.nan, s), 0)[0]).astype(float, copy=False)
+        if ends.all():
+            return s.astype(float)
+        masked = np.where(ends, np.nan, s)
+        try:
+            return np.where(ends, s, f_taylor(pair, masked, 0)[0]).astype(float, copy=False)
+        except DomainError as exc:
+            if not ends.flat[exc.index]:
+                raise
+            # a check failing at a masked end reads no s, so it fails at the first point that is not an end
+            i = int(np.argmin(ends))
+            raise DomainError(str(exc).removesuffix(point(masked, exc.index)) + point(s, i), i) from None
     if s == 0.0:
         return 0.0
     if s == 1.0:

@@ -24,27 +24,27 @@ sample up to vertices collinear with their hull neighbours within rounding,
 which the skipped tests may keep where the plain chain pops them.
 
 Both curve kinds share one deriv: a scalar straight-line program for f and
-f' (for a pair: m_a at s and m_b at 1 - s fused into one program), bit for
-bit equal to the curve's reference route (f_taylor for a pair, taylor for an
-expression), which takes the points outside the program's domain.  A
-curve's value is its reference route for f (f_value for a pair, eval for an
-expression), which takes arrays and the exact ends.  One walk over the
-chords refines each and tiles [a, b]: the run of contact edges before a
-chord is an arc ending at the chord's refined lo; a chord ends at its
-refined hi or, where the next chord shares its hull vertex, at the mean of
-that hi and the next chord's refined lo; the last piece ends at b.
+f', or f, f' and f'' (for a pair: m_a at s and m_b at 1 - s fused into one
+program), bit for bit equal to the curve's reference route (f_taylor for a
+pair, taylor for an expression), which takes the points outside the
+program's domain.  A curve's value is its reference route for f (f_value
+for a pair, eval for an expression), which takes arrays and the exact ends.
+One walk over the chords refines each and tiles [a, b]: the run of contact
+edges before a chord is an arc ending at the chord's refined lo; a chord
+ends at its refined hi or, where the next chord shares its hull vertex, at
+the mean of that hi and the next chord's refined lo; the last piece ends at b.
 
-Inside a rarefaction the profile inverts f'(s) = xi with the bracket
-solver shared with the classifier, to within INVERT_TOL of a sign change of
-f' - xi.  Each arc keeps views of the samples inside it and of their edge
-slopes, which ascend on a contact arc; by Osher's argmin form (SIAM J.
-Numer. Anal. 21, 1984) the root lies within two spacings of where xi falls
-among them.  Interpolating xi between the two nearest edge midpoints gives
-a start with error O(h^2); f' there and at two estimated errors beyond it
-bracket the root almost always.  Where they do not, or the rarefaction has
-no samples, the bracket is the whole arc, whose end values of f' - xi are
-the wave's end speeds minus xi.  At its two end speeds a rarefaction
-returns its end states, which are exact roots.
+Inside a rarefaction the profile inverts f'(s) = xi to within INVERT_TOL
+of a sign change of f' - xi.  Each arc keeps views of its edges' midpoints
+and slopes, which ascend on a contact arc; by Osher's argmin form (SIAM J.
+Numer. Anal. 21, 1984) xi interpolated among them and the end states at
+their exact end speeds gives a start with error O(h^2).  An order-2 slope
+call gives a Newton step, and f' at INVERT_TOL/2 either side of its result
+verifies the sign change, else a second step is tried.  Otherwise (and for
+a DomainError or no samples) the bracket solver shared with the classifier
+runs on the whole arc, whose end values of f' - xi are the end speeds minus
+xi.  At its two end speeds a rarefaction returns its end states, which are
+exact roots.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -72,16 +72,19 @@ _LONG = 8  # chain steps of one pattern before _lower_hull_indices hands it to n
 
 
 class _Curve:
-    """f' from the scalar program _df, else from the reference route _taylor
-    at s clipped into [_CLIP, 1 - _CLIP], whose DomainError names the point;
-    each subclass binds value, its reference route for f.  perfbench/spans.py
-    wraps deriv on each subclass, so neither subclasses the other."""
+    """f' (order 1), or f' and f'' (order 2), from _program(order), compiled
+    on first use, else from _taylor at s clipped into [_CLIP, 1 - _CLIP].
+    perfbench/spans.py wraps deriv on each subclass: neither subclasses the other."""
 
-    def deriv(self, s: float) -> float:
+    _df = cached_property(lambda self: self._program(1))
+    _d2f = cached_property(lambda self: self._program(2))
+
+    def deriv(self, s: float, order: int = 1):
         try:
-            return float(self._df(s)[1])
+            out = (self._df if order == 1 else self._d2f)(s)
         except DomainError:
-            return float(self._taylor(min(max(s, _CLIP), 1.0 - _CLIP), 1)[1])
+            out = self._taylor(min(max(s, _CLIP), 1.0 - _CLIP), order)
+        return float(out[1]) if order == 1 else (float(out[1]), float(out[2]))
 
 
 class PairFlux(_Curve):
@@ -91,7 +94,7 @@ class PairFlux(_Curve):
         self.pair = pair
         self.value = lambda s: f_value(pair, s)  # looked up per call: perfbench/spans.py counts it
         self._taylor = partial(f_taylor, pair)
-        self._df = pair_program(pair)
+        self._program = partial(pair_program, pair)
 
 
 class ExprFlux(_Curve):
@@ -100,7 +103,7 @@ class ExprFlux(_Curve):
     def __init__(self, expr: ModelExpr):
         self.expr = expr
         self.value, self._taylor = expr.eval, expr.taylor
-        self._df = expr.program(1, False)
+        self._program = partial(expr.program, array=False)
 
 
 FluxLike = Union[ModelPair, ModelExpr]
@@ -250,7 +253,8 @@ def envelope(flux, s_left: float, s_right: float):
     _require_finite(xs, ys, "flux value")
     hull = _lower_hull_indices(xs, ys)
     with np.errstate(divide="ignore", invalid="ignore"):  # [a, b] may hold fewer floats than samples
-        slopes = np.diff(ys) / np.diff(xs)  # an arc keeps views of its samples and these
+        slopes = np.diff(ys) / np.diff(xs)  # an arc keeps views of these and of the edges' midpoints
+    mids = 0.5 * (xs[:-1] + xs[1:])
 
     # a chord that never leaves the curve by more than value resolution is
     # contact structure from flat (e.g. underflowed) stretches, not a shock
@@ -290,7 +294,7 @@ def envelope(flux, s_left: float, s_right: float):
             ends = (cut, hi) if sign > 0.0 else (hi, cut)
             i, j = xs.searchsorted(cut, "right"), xs.searchsorted(hi)  # the samples strictly inside
             pieces.append(Shock(*ends, sign * float((value(hi) - value(cut)) / (hi - cut)))
-                          if chord else ContactArc(*ends, (xs[i:j], slopes[i:j - 1])))
+                          if chord else ContactArc(*ends, (mids[i:j - 1], slopes[i:j - 1])))
         cut = hi
 
     # walk the chords, then the end b, cutting by the module docstring's tiling rule
@@ -316,25 +320,30 @@ def solve(problem: RiemannProblem) -> WaveFan:
     return WaveFan(problem.s_L, problem.s_R, waves, curve)
 
 
-def _near_bracket(w: Rarefaction, g, xi: float):
-    """((lo, g(lo)), (hi, g(hi))) around f'(s) = xi from the rarefaction's
-    samples, or None where they do not bracket it (module docstring)."""
-    if w.samples is None:
-        return None
-    s, slopes = w.samples
-    sign = 1.0 if w.left_state < w.right_state else -1.0  # slopes are of sign*f
-    j = int(slopes.searchsorted(sign * xi))
-    if not 0 < j < len(slopes):
-        return None
-    (d0, d1), (s0, s1, s2) = slopes[j - 1:j + 1].tolist(), s[j - 1:j + 2].tolist()
-    m0, m1 = 0.5 * (s0 + s1), 0.5 * (s1 + s2)
-    t0 = m0 + (sign * xi - d0) / (d1 - d0) * (m1 - m0)
-    g0 = g(t0)
-    # sign*g ascends with s, at about (d1 - d0)/(m1 - m0)
-    step = max(INVERT_TOL, 2.0 * abs(g0) * (m1 - m0) / (d1 - d0))
-    t1 = min(t0 + step, s2) if sign * g0 < 0.0 else max(t0 - step, s0)
-    g1 = g(t1)
-    return sorted(((t0, g0), (t1, g1))) if g0 <= 0.0 <= g1 or g1 <= 0.0 <= g0 else None
+def _invert(w: Rarefaction, curve, xi: float) -> float:
+    """The state where f' = xi inside the rarefaction (module docstring)."""
+    (a, da), (b, db) = sorted(((w.left_state, w.speed_lo), (w.right_state, w.speed_hi)))
+    if w.samples is not None:
+        mids, slopes = w.samples  # slopes of sign*f, ascending with s
+        sign = 1.0 if a == w.left_state else -1.0
+        j = int(slopes.searchsorted(sign * xi))  # xi lies between nodes j - 1 and j of (a, sign*da), mids, (b, sign*db)
+        m0, d0 = (mids.item(j - 1), slopes.item(j - 1)) if j else (a, sign * da)
+        m1, d1 = (mids.item(j), slopes.item(j)) if j < len(slopes) else (b, sign * db)
+        t = m0 + (sign * xi - d0) / (d1 - d0) * (m1 - m0) if d1 > d0 else m0
+        try:
+            for _ in range(2):
+                df, d2f = curve.deriv(t, 2)
+                t -= (df - xi) / d2f
+                lo, hi = t - 0.5 * INVERT_TOL, t + 0.5 * INVERT_TOL
+                if not a <= lo < hi <= b:  # also where t is NaN
+                    break
+                g_lo, g_hi = curve.deriv(lo) - xi, curve.deriv(hi) - xi
+                if g_lo <= 0.0 <= g_hi or g_hi <= 0.0 <= g_lo:
+                    return t
+        except (DomainError, ZeroDivisionError):  # a point off f's domain, or f'' = 0
+            pass
+    # the whole arc, where f' - xi at each end is its end speed minus xi
+    return _bisect(lambda t: curve.deriv(t) - xi, a, b, INVERT_TOL, da - xi, db - xi)
 
 
 def evaluate(fan: WaveFan, xi: float) -> float:
@@ -359,11 +368,7 @@ def evaluate(fan: WaveFan, xi: float) -> float:
             if xi == w.speed_hi:
                 return w.right_state
             if xi < w.speed_hi:
-                g = lambda t, deriv=fan.flux.deriv: deriv(t) - xi
-                # else the whole arc, where f' - xi at each end is its end speed minus xi
-                (lo, g_lo), (hi, g_hi) = _near_bracket(w, g, xi) or sorted(
-                    ((w.left_state, w.speed_lo - xi), (w.right_state, w.speed_hi - xi)))
-                return _bisect(g, lo, hi, INVERT_TOL, g_lo, g_hi)
+                return _invert(w, fan.flux, xi)
         state = w.right_state
     return state
 

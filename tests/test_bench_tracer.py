@@ -33,9 +33,9 @@ def test_tracer_counts_seed_one_and_restores_the_patched_names():
     # a rewrite that stops a counted name from being called reads 0 here
     assert fans == [
         {"riemann.hull_points": 4097, "riemann.hull_vertices": 4088, "riemann.pieces": 1,
-         "riemann.invert_evals": 4},
+         "riemann.invert_evals": 3},
         {"riemann.hull_points": 4097, "riemann.hull_vertices": 369, "riemann.refine_evals": 19,
-         "riemann.pieces": 2, "riemann.invert_evals": 12},
+         "riemann.pieces": 2, "riemann.invert_evals": 9},
     ]
     calls = tracer.aggregate((0, spans.Counter()))["calls"]
     assert calls["riemann.solve"] == 2 and calls["riemann._bisect"] > 0

@@ -138,6 +138,11 @@ def test_help_options_and_negative_states_keep_their_meaning(capsys):
     assert code == 2 and "unrecognized arguments: --jsn" in err
 
 
+def test_riemann_on_a_pair_with_no_valid_point_names_the_first_sample_that_is_not_an_end(capsys):
+    code, out, err = run(capsys, "riemann", "0", "0", "0", "1")
+    assert (code, out, err) == (2, "", "error: zero total mobility at s[1]=0.000244140625\n")
+
+
 def test_analyze_symmetric_quartic(capsys):
     code, out, _ = run(capsys, "analyze", "s^4", "s^4")
     assert code == 0

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import fracflow as ff
 from fracflow import jet, models, riemann
-from fracflow.flux import f_taylor
+from fracflow.flux import f_taylor, pair_program
 
 from conftest import draw_member, rel_close
 
@@ -643,16 +643,18 @@ def _outcome(fn, s):
             v = fn(s)
     except (ArithmeticError, ValueError) as exc:
         return type(exc).__name__, str(exc)
-    return type(v).__name__, repr(float(v))
+    return type(v).__name__, repr(v if isinstance(v, tuple) else float(v))
 
 
-def _clipped_slope(taylor, s):
-    """f' as the curves took it from taylor alone: at s, or where s is outside
-    the derivative's domain at s clipped into [_CLIP, 1 - _CLIP]."""
+def _clipped_slope(taylor, s, order=1):
+    """f' (or f' and f'' for order 2) as the curves took it from taylor alone:
+    at s, or where s is outside the derivative's domain at s clipped into
+    [_CLIP, 1 - _CLIP]."""
     try:
-        return float(taylor(s, 1)[1])
+        out = taylor(s, order)
     except ff.DomainError:
-        return float(taylor(min(max(s, riemann._CLIP), 1.0 - riemann._CLIP), 1)[1])
+        out = taylor(min(max(s, riemann._CLIP), 1.0 - riemann._CLIP), order)
+    return float(out[1]) if order == 1 else (float(out[1]), float(out[2]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -665,6 +667,8 @@ def test_curve_programs_equal_the_taylor_route_bit_for_bit(m_a, m_b, s):
     assert _outcome(curve.value, s) == _outcome(functools.partial(ff.f_value, pair), s)
     expr = riemann.ExprFlux(m_a)
     assert _outcome(expr.deriv, s) == _outcome(functools.partial(_clipped_slope, m_a.taylor), s)
+    for c, taylor in ((curve, taylor), (expr, m_a.taylor)):  # order 2: f' and f''
+        assert _outcome(lambda t: c.deriv(t, 2), s) == _outcome(functools.partial(_clipped_slope, taylor, order=2), s)
 
 
 @settings(max_examples=200, deadline=None)
@@ -698,7 +702,12 @@ def test_curve_programs_keep_the_endpoint_clip_and_the_messages(s):
 def test_pair_programs_are_compiled_once_and_pickle_away():
     pair = ff.ModelPair(ff.parse("s^1.1 * exp(s^10)"), ff.parse("s^2"))
     curve = riemann.PairFlux(pair)
+    assert "_programs" not in pair.__dict__  # nothing is compiled before the first call
     assert riemann.PairFlux(pair)._df is curve._df
+    assert sorted(pair._programs) == [1]
+    assert riemann.PairFlux(pair)._d2f is curve._d2f is pair_program(pair, 2)
+    assert sorted(pair._programs) == [1, 2]
     copy = pickle.loads(pickle.dumps(pair))
     assert copy == pair and "_programs" not in copy.__dict__
     assert riemann.PairFlux(copy).deriv(0.3) == curve.deriv(0.3)
+    assert riemann.PairFlux(copy).deriv(0.3, 2) == curve.deriv(0.3, 2) == tuple(f_taylor(pair, 0.3, 2)[1:])

@@ -262,3 +262,21 @@ def test_array_f_value_names_the_failing_element_of_the_whole_input():
     with pytest.raises(ff.DomainError, match=r"\(s - 0\.5\)\^1\.5 at s\[2\]=0\.25$") as info:
         ff.f_value(pair, np.array([[1.0, 0.25], [0.75, 0.0]]))  # a flat index
     assert info.value.index == 2
+
+
+@pytest.mark.parametrize("pair, message", [
+    (ff.ModelPair(ff.parse("0"), ff.parse("0")), "zero total mobility"),
+    (ff.ModelPair(ff.parse("s/(1-1)"), ff.parse("s")), r"division by zero while evaluating s/\(1 - 1\)"),
+], ids=["zero pair", "constant divisor"])
+def test_array_f_value_with_a_check_failing_at_every_s_names_the_first_point_that_is_not_an_end(pair, message):
+    # the check reads no s, so it also fails at the ends masked as NaN; the
+    # error names the first sample that is not an end, not a masked one
+    with pytest.raises(ff.DomainError, match=rf"^{message} at s\[1\]=0\.25$") as info:
+        ff.f_value(pair, np.array([0.0, 0.25, 0.5, 1.0]))
+    assert info.value.index == 1
+    with pytest.raises(ff.DomainError, match=rf"^{message} at s\[2\]=0\.3$") as info:
+        ff.f_value(pair, np.array([[1.0, 0.0], [0.3, 0.0]]))
+    assert info.value.index == 2
+    for s in (np.array([0.0, 1.0]), np.array([[1.0], [0.0]], dtype=np.float32), np.array([]), np.array(1.0)):
+        got = ff.f_value(pair, s)  # only exact ends: no evaluation, their exact limits
+        assert got.dtype == np.float64 and got.shape == s.shape and got.tolist() == s.tolist()

@@ -4,6 +4,7 @@ import bisect
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,7 +393,9 @@ def test_evaluate_on_a_raw_flux_expression_agrees_with_bisection():
         assert abs(rm.evaluate(fan, x) - bisection_profile(fan, x)) <= rm.INVERT_TOL, x
 
 
-def test_curve_without_an_array_program_is_inverted_by_bisection():
+def test_a_curve_object_with_its_own_value_and_deriv_is_inverted():
+    # any object with value(s) and deriv(s, order=1) serves as a fan's curve;
+    # the inversion takes f' and f'' from deriv(t, 2)
     class SlopeOnly:
         def __init__(self, curve):
             self.value, self.deriv = curve.value, curve.deriv
@@ -415,25 +418,86 @@ def test_evaluate_leaves_the_fan_unchanged():
     assert set(vars(fan)) == fields
 
 
+def _counting(fan):
+    """The fan's curve with its deriv recording the point of every call."""
+    calls, deriv = [], fan.flux.deriv
+    fan.flux.deriv = lambda *args: calls.append(args[0]) or deriv(*args)
+    return calls
+
+
+def _end_interval(w, xi):
+    """The end state whose speed and nearest edge slope enclose xi (the arc's
+    first or last edge interval), or None."""
+    _, slopes = w.samples
+    sign = 1.0 if w.left_state < w.right_state else -1.0
+    j = int(slopes.searchsorted(sign * xi))
+    return (min if j == 0 else max)(w.left_state, w.right_state) if j in (0, len(slopes)) else None
+
+
 @pytest.mark.parametrize("name,pair,s_L", INVERSION_CASES, ids=[c[0] for c in INVERSION_CASES])
 def test_inversion_starts_from_the_end_speeds_and_needs_few_slope_calls(name, pair, s_L):
-    # the start from the arc's samples is within O(h^2) of the root, so a
-    # bracket of two calls and about two solver steps reach INVERT_TOL (4.95
-    # calls per xi at most over these cases, against ~33 for bisection); the
-    # whole-arc fallback takes its end values from the wave's speeds, so f'
-    # is never evaluated at the end states
+    # the start interpolated among the arc's nodes is within O(h^2) of the
+    # root, so one order-2 call for a Newton step and two calls that verify
+    # its sign change reach INVERT_TOL: 3 calls per xi, against ~33 for
+    # bisection.  Next to an end whose speed is clipped (f' ~ (1 - s)^0.1 for
+    # counterexample 1) the step may leave the arc and the whole-arc solver
+    # runs, so 3.5 calls per xi holds only away from such an end's edge
+    # interval (counterexample 1 takes 4.24 over all its xi); the solver
+    # takes its end values from the wave's speeds, so f' is never evaluated
+    # at the end states
     fan = rm.solve(rm.RiemannProblem(s_L, 1.0 - s_L, pair))
-    calls = []
-    deriv = fan.flux.deriv
-    fan.flux.deriv = lambda t: calls.append(t) or deriv(t)
-    n_xi = 0
+    calls = _counting(fan)
+    n_xi, clear = 0, []  # calls per xi away from a clipped end's end interval
     for w in fan.waves:
         if isinstance(w, rm.Rarefaction):
             for xi in np.linspace(w.speed_lo, w.speed_hi, 23)[1:-1].tolist():
+                before = len(calls)
                 rm.evaluate(fan, xi)
                 n_xi += 1
+                end = _end_interval(w, xi)
+                if end is None or not _clipped_end(pair, end):
+                    clear.append(len(calls) - before)
             assert w.left_state not in calls and w.right_state not in calls
-    assert n_xi and len(calls) <= 5 * n_xi, len(calls) / n_xi
+    assert n_xi and len(calls) <= 4.5 * n_xi, len(calls) / n_xi
+    assert sum(clear) <= 3.5 * len(clear), sum(clear) / len(clear)
+
+
+@pytest.mark.parametrize("name,pair,s_L", INVERSION_CASES, ids=[c[0] for c in INVERSION_CASES])
+def test_xi_in_an_end_interval_with_an_exact_end_speed_takes_three_calls(name, pair, s_L, monkeypatch):
+    # the end state at its exact end speed is an interpolation node, so xi
+    # between it and the nearest edge slope needs no fallback.  Where f'' also
+    # vanishes at the end (Corey's f' ~ (1 - s)^k, k >= 2) the root is nearly
+    # a double one, which one Newton step cannot resolve from an O(h^2)
+    # start; there only the profile is checked
+    fan = rm.solve(rm.RiemannProblem(s_L, 1.0 - s_L, pair))
+    calls = _counting(fan)
+    solves = []
+    bisect_ = rm._bisect
+    monkeypatch.setattr(rm, "_bisect", lambda *args: solves.append(args[1:3]) or bisect_(*args))
+    for w in fan.waves:
+        if not isinstance(w, rm.Rarefaction):
+            continue
+        _, slopes = w.samples
+        sign = 1.0 if w.left_state < w.right_state else -1.0
+        (a, da), (b, db) = sorted(((w.left_state, sign * w.speed_lo), (w.right_state, sign * w.speed_hi)))
+        for end, lo, hi in ((a, da, slopes[0]), (b, slopes[-1], db)):
+            if _clipped_end(pair, end):
+                continue
+            exact = f_taylor(pair, end, 2)[2] != 0.0
+            for x in np.linspace(lo, hi, 7)[1:-1].tolist():
+                assert _end_interval(w, sign * x) == end
+                del calls[:], solves[:]
+                s = rm.evaluate(fan, sign * x)
+                assert not exact or (len(calls), solves) == (3, []), x
+                assert abs(s - bisection_profile(fan, sign * x)) <= rm.INVERT_TOL, x
+
+
+def test_end_interval_cases_include_exact_end_speeds():
+    exact = [name for name, pair, s_L in INVERSION_CASES
+             for w in rm.solve(rm.RiemannProblem(s_L, 1.0 - s_L, pair)).waves if isinstance(w, rm.Rarefaction)
+             for end in (w.left_state, w.right_state)
+             if not _clipped_end(pair, end) and f_taylor(pair, end, 2)[2] != 0.0]
+    assert len(exact) >= len(INVERSION_CASES), exact
 
 
 def _interior_xis(fan, count=41):
@@ -454,21 +518,44 @@ def test_hand_built_rarefaction_without_samples_is_inverted_over_the_whole_arc(s
 
 
 @pytest.mark.parametrize("s_L", [1.0, 0.0])
-def test_a_sample_bracket_that_misses_the_root_falls_back_to_the_whole_arc(s_L, monkeypatch):
+def test_a_newton_step_that_misses_the_root_falls_back_to_the_whole_arc(s_L, monkeypatch):
     # slopes shifted by a tenth of the speed range put the start ~10% of the
-    # arc away from the root: the two-point bracket, kept within the start's
-    # neighbouring samples, cannot straddle it
+    # arc away from the root: neither Newton step from there lands within
+    # INVERT_TOL/2 of it, so the check of its sign change fails
     fan = rm.solve(rm.RiemannProblem(s_L, 1.0 - s_L, ff.ModelPair(CE3, CE3)))
     shifted = rm.WaveFan(fan.s_left, fan.s_right, [
         dataclasses.replace(w, samples=(w.samples[0], w.samples[1] + 0.1 * (w.speed_hi - w.speed_lo)))
         if isinstance(w, rm.Rarefaction) else w for w in fan.waves], fan.flux)
-    brackets = []
-    near = rm._near_bracket
-    monkeypatch.setattr(rm, "_near_bracket", lambda *args: brackets.append(near(*args)) or brackets[-1])
+    inverted, solves = [], []
+    invert, bisect_ = rm._invert, rm._bisect
+    monkeypatch.setattr(rm, "_invert", lambda *args: inverted.append(args[2]) or invert(*args))
+    monkeypatch.setattr(rm, "_bisect", lambda *args: solves.append(args[1:3]) or bisect_(*args))
     xis = _interior_xis(fan)
     for xi in xis:
         assert abs(rm.evaluate(shifted, xi) - bisection_profile(fan, xi)) <= rm.INVERT_TOL, xi
-    assert len(brackets) == len(xis) and not any(brackets)
+    arcs = {tuple(sorted((w.left_state, w.right_state))) for w in fan.waves if isinstance(w, rm.Rarefaction)}
+    assert inverted == xis and len(solves) == len(xis) and set(solves) <= arcs
+
+
+def test_seed_one_draw_inverts_within_tol_of_bisection_and_rarely_falls_back(monkeypatch):
+    # the riemann_fans benchmark's seed-1 draw, 50 fans with 201-point
+    # profiles: 3,840 inverted xi, 42 of which run the whole-arc solver, all
+    # next to an end whose f' is clipped (counterexamples' s^1.1 terms)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the draw's multi-root warnings are not under test
+        fans = [rm.solve(inp.obj) for inp in workloads.build("riemann_fans", 1)]
+    solves, bisect_ = [], rm._bisect
+    monkeypatch.setattr(rm, "_bisect", lambda *args: solves.append(args[1:3]) or bisect_(*args))
+    n_inverted = 0
+    for fan in fans:
+        for xi in workloads.profile_xi(fan, workloads.PROFILE_XI).tolist():
+            if any(isinstance(w, rm.Rarefaction) and w.speed_lo < xi < w.speed_hi for w in fan.waves):
+                n_inverted += 1
+                assert abs(rm.evaluate(fan, xi) - bisection_profile(fan, xi)) <= rm.INVERT_TOL, xi
+    assert n_inverted == 3840 and len(solves) <= 0.02 * n_inverted, len(solves)
 
 
 # -- sampled hull -------------------------------------------------------------
