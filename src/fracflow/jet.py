@@ -44,11 +44,12 @@ class DomainError(ArithmeticError):
 
 
 def point(s: Real, index: Optional[int]) -> str:
-    """Where an evaluation failed: 's=<value>', or 's[i]=<value>' for the
-    first failing element of an array (flat index)."""
-    if isinstance(s, np.ndarray):
-        return f"s[{index}]={float(s.flat[index])!r}"
-    return f"s={s!r}"
+    """Where an evaluation failed: 's=<value>', 's[i]=<value>' for the first
+    failing element of an array (flat index), or 'an empty s' for an array
+    without elements (where a check on a constant still fails)."""
+    if not isinstance(s, np.ndarray):
+        return f"s={s!r}"
+    return f"s[{index}]={float(s.flat[index])!r}" if s.size else "an empty s"
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,8 @@ class ModelExpr(_Compiled):
         try:
             return fn(s)
         except DomainError as exc:
-            raise DomainError(f"{exc} while evaluating {self} at {point(s, exc.index)}", exc.index) from None
+            index = exc.index if np.size(s) else None  # an empty s has no failing element
+            raise DomainError(f"{exc} while evaluating {self} at {point(s, index)}", index) from None
 
     def eval_jet(self, s: Real) -> Jet3:
         """Value and first three derivatives at s (scalar or array)."""

@@ -12,9 +12,10 @@ import fracflow as ff
 from fracflow.classifier import (_bisect_sign_change, check_conditions, report_to_text,
                                  sign_changes)
 from fracflow.flux import f_taylor
+from fracflow.models import Const, Prod
 
 from bracket_reference import BRACKET_FUNCTIONS, BRACKET_KINDS, draw_bracket, same_trace, traced, two_loop_solver
-from conftest import draw_c4star_candidate, rel_close
+from conftest import draw_c4star_candidate, draw_member, rel_close
 
 
 def test_quadratic_power_is_admissible():
@@ -240,6 +241,33 @@ def test_product_closure_of_starred_condition():
         m1 = accepted[int(rng.integers(len(accepted)))]
         m2 = accepted[int(rng.integers(len(accepted)))]
         assert check_conditions(ff.product(m1, m2)).c4star == "pass", (str(m1), str(m2))
+
+
+def test_product_closure_of_the_class():
+    # the paper's closure theorem: the product of two members of the class
+    # (c1-c4) is a member
+    rng = np.random.default_rng(11)
+    products = 0
+    while products < 240:
+        m1, m2 = draw_member(rng), draw_member(rng)
+        if check_conditions(m1).in_class_M and check_conditions(m2).in_class_M:
+            products += 1
+            assert check_conditions(ff.product(m1, m2)).in_class_M, (str(m1), str(m2))
+
+
+def _verdicts(r):
+    return r.c1, r.c2, r.c3, r.c4, r.c4star, r.in_class_M
+
+
+def test_verdicts_do_not_change_under_a_positive_scale():
+    # the conditions hold for c*m (c > 0) exactly when they hold for m, and the
+    # endpoint rule compares two values of one component.  Scales of 1e-10 and
+    # below are left out: c^2 times a c4 numerator falls under ZERO_TOL there.
+    rng = np.random.default_rng(7)
+    for m in [*ff.catalog().values(), *(draw_member(rng) for _ in range(100))]:
+        expected = _verdicts(check_conditions(m))
+        for k in (-3, 3, 10, 100):
+            assert _verdicts(check_conditions(Prod((Const(10.0 ** k), m)))) == expected, (k, str(m))
 
 
 def test_reports_are_deterministic():

@@ -55,6 +55,19 @@ def test_check_concave_root_exits_one(capsys):
     assert "c3: fail" in out
 
 
+@pytest.mark.parametrize("model, code, lines", [
+    ("1e-5 + s^2", 1, ["c1: fail", "witness: c1 s=1e-06 value=1.0000001e-05 kind=fail"]),
+    ("0.001*s", 1, ["c2: fail"]),
+    ("1e10*s^2", 0, ["in_class_M: true"]),
+])
+def test_check_endpoint_limits_do_not_depend_on_scale(model, code, lines, capsys):
+    # m(0) = 1e-5 and m'(0) = 0.001 do not vanish however small they are,
+    # and 1e10*s^2 is a member like s^2
+    got, out, _ = run(capsys, "check", model)
+    assert got == code
+    assert set(lines) <= set(out.splitlines())
+
+
 def test_check_parse_error_exits_two(capsys):
     code, _, err = run(capsys, "check", "s^^2")
     assert code == 2

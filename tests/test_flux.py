@@ -125,6 +125,13 @@ def test_array_f_value_is_the_interior_between_exact_ends_in_float64(s, pair):
     assert got.tobytes() == _f_value_by_interior(pair, s).tobytes()
 
 
+def test_flux_domain_error_on_an_empty_array_names_no_element():
+    pair = ff.ModelPair(ff.parse("s"), ff.parse("s/(1-1)"))
+    with pytest.raises(ff.DomainError, match=r"while evaluating s/\(1 - 1\) at an empty s$") as info:
+        f_taylor(pair, np.array([]), 1)
+    assert info.value.index is None
+
+
 def test_find_s1_s2_symmetric_pair():
     pair = symmetric("s^2")
     assert abs(find_s1(pair) - 0.5) <= 1e-9

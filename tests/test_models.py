@@ -250,6 +250,14 @@ def test_domain_error_on_array_names_first_failing_point():
         assert info.value.index == 0
 
 
+@pytest.mark.parametrize("order", [0, 2])
+def test_domain_error_on_an_empty_array_names_no_element(order):
+    # the zero divisor is a constant, so its check fails with no element of s
+    with pytest.raises(ff.DomainError, match=r"while evaluating s/\(1 - 1\) at an empty s$") as info:
+        ff.parse("s/(1-1)").taylor(np.array([]), order)
+    assert info.value.index is None
+
+
 def test_array_f_value_names_the_failing_element_of_the_whole_input():
     pair = ff.ModelPair(ff.parse("s - s"), ff.parse("s - s"))
     with pytest.raises(ff.DomainError, match=r"^zero total mobility at s\[1\]=0\.25$") as info:
