@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import warnings
@@ -107,9 +108,12 @@ def cmd_check(args) -> int:
     reports = {name: classifier.check_conditions(m, grid_n=args.grid, eps=args.eps) for name, m in targets}
     if args.json:
         payload = {name: dataclasses.asdict(r) for name, r in reports.items()}
+        for doc in payload.values():  # strict JSON has no NaN or Infinity
+            if not math.isfinite(doc["criterion_T3"]):
+                doc["criterion_T3"] = None
         if len(reports) == 1:
             payload = next(iter(payload.values()))
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         for name, report in reports.items():
             if len(reports) > 1:

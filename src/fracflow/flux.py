@@ -10,16 +10,16 @@ through the sign-alternating reflection.  The closed forms
 (all m_b symbols taken at 1-s, m = m_a + m_b, m' the true s-derivative)
 are provided as an independent cross-check of the jet route.
 
-An analysis evaluates the order-2 jets of m_a and m_b once on its grid;
-they give f'' and the numerators of s1 (m_a' - m_b') and s2 (h'), whose
-sign changes are taken on that grid and refined to the analysis's tol.
+Every f here comes from pair_program, one program per pair, order and input
+kind, which also returns the jets of m_a and m_b.  An analysis runs it once
+on its grid for f'' and the numerators of s1 (m_a' - m_b') and s2 (h'),
+whose sign changes are taken on that grid and refined to the analysis's tol.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -57,43 +57,35 @@ def _flux_rule(tape: Tape, a, b):
     return tape.div(a, tape.add(a, tape.reflect(b)), "zero total mobility")
 
 
-@lru_cache(maxsize=None)
-def _flux_program(order: int, array: bool):
-    tape = Tape(array)
-    a = tuple(f"a{j}" for j in range(order + 1))
-    b = tuple(f"b{j}" for j in range(order + 1))
-    return tape.build([*a, *b], _flux_rule(tape, a, b))
+def pair_program(pair: ModelPair, order: int = 1, array: bool = False):
+    """f and its first `order` derivatives at s, then the jets of m_a at s and of m_b
+    at a local 1 - s: one program per order and input kind, cached on the pair, whose
+    flux rule folds none of their components and whose DomainError names no point."""
+    key = (order, array)
+    if key not in pair._programs:
+        tape = Tape(array)
+        a = tape.opaque(_emit(tape, pair.m_a, "s", order), "s")
+        b = tape.opaque(_emit(tape, pair.m_b, tape.let("1.0 - s"), order), "s")
+        pair._programs[key] = tape.build(["s"], _flux_rule(tape, a, b) + a + b)
+    return pair._programs[key]
 
 
-def pair_program(pair: ModelPair, order: int = 1):
-    """Scalar f and its first `order` derivatives at s as one program,
-    compiled on first use and cached on the pair per order: m_a at s, m_b at
-    a local 1 - s, then the flux rule.  Its values are f_taylor's at that
-    order bit for bit; its DomainError does not name the point."""
-    if order not in pair._programs:
-        tape = Tape(False)
-        a = tape.opaque(_emit(tape, pair.m_a, "s", order))
-        b = tape.opaque(_emit(tape, pair.m_b, tape.let("1.0 - s"), order))
-        pair._programs[order] = tape.build(["s"], _flux_rule(tape, a, b))
-    return pair._programs[order]
-
-
-def _jets(pair: ModelPair, s: Real, order: int) -> tuple:
-    """The jets of m_a at s and of m_b at 1 - s, to `order`."""
-    return pair.m_a.taylor(s, order), pair.m_b.taylor(1.0 - s, order)
-
-
-def _flux_from(s: Real, a: tuple, b: tuple) -> tuple:
-    """f and its derivatives at s from the jets a, b of _jets."""
+def _flux_jets(pair: ModelPair, s: Real, order: int) -> tuple:
+    """The jets of f and m_a at s and of m_b at 1 - s, to `order`.  A DomainError
+    names the failing tree (from the trees' own programs) or the flux rule, and the point."""
     try:
-        return _flux_program(len(a) - 1, isinstance(s, np.ndarray))(*a, *b)
+        out = pair_program(pair, order, isinstance(s, np.ndarray))(s)
     except DomainError as exc:
+        pair.m_a.taylor(s, order)
+        pair.m_b.taylor(1.0 - s, order)
         raise DomainError(f"{exc} at {point(s, exc.index)}", exc.index) from None
+    n = order + 1
+    return out[:n], out[n:2 * n], out[2 * n:]
 
 
 def f_taylor(pair: ModelPair, s: Real, order: int = 3) -> tuple:
     """f and its first `order` derivatives at s (scalar or array in (0,1))."""
-    return _flux_from(s, *_jets(pair, s, order))
+    return _flux_jets(pair, s, order)[0]
 
 
 def f_jet(pair: ModelPair, s: Real) -> Jet3:
@@ -137,18 +129,19 @@ def f2_closed(pair: ModelPair, s: Real) -> Real:
     return (h1 * m - 2.0 * m1 * h) / m ** 3
 
 
-# the numerators of s1 and s2 from the jets of _jets, each with the order it needs
+# the numerators of s1 and s2 from the jets a of m_a at s and b of m_b at 1-s
 _NUMERATORS = {
-    "s1": (1, lambda a, b: a[1] - b[1]),  # m_a'(s) - m_b'(1-s)
-    "s2": (2, lambda a, b: a[2] * b[0] - a[0] * b[2]),  # m_a''(s)*m_b(1-s) - m_a(s)*m_b''(1-s)
+    "s1": lambda a, b: a[1] - b[1],  # m_a'(s) - m_b'(1-s)
+    "s2": lambda a, b: a[2] * b[0] - a[0] * b[2],  # m_a''(s)*m_b(1-s) - m_a(s)*m_b''(1-s)
 }
 
 
-def _first_root(pair: ModelPair, label: str, s, jets: tuple, tol: float) -> Optional[float]:
+def _first_root(pair: ModelPair, label: str, s, a: tuple, b: tuple, tol: float) -> Optional[float]:
     """First sign change of the label's numerator sampled at s from the grid
-    jets, refined to tol on scalar jets; a warning names any further ones."""
-    order, g = _NUMERATORS[label]
-    roots = sign_changes(s, np.asarray(g(*jets), dtype=float), lambda t: float(g(*_jets(pair, t, order))), tol)
+    jets a, b, refined to tol on scalar jets of their order; a warning names
+    any further ones."""
+    g, order = _NUMERATORS[label], len(a) - 1
+    roots = sign_changes(s, g(a, b), lambda t: float(g(*_flux_jets(pair, t, order)[1:])), tol)
     if len(roots) > 1:
         warnings.warn(f"{label} has {len(roots)} sign changes; reporting the first", stacklevel=3)
     return roots[0][0] if roots else None
@@ -164,13 +157,13 @@ def find_s1(pair: ModelPair, grid_n: int = 4096, eps: float = DEFAULT_EPS, tol: 
     (0, 1e-3) raises ValueError.
     """
     s = clipped_grid(grid_n, eps)
-    return _first_root(pair, "s1", s, _jets(pair, s, 1), tol)
+    return _first_root(pair, "s1", s, *_flux_jets(pair, s, 1)[1:], tol)
 
 
 def find_s2(pair: ModelPair, grid_n: int = 4096, eps: float = DEFAULT_EPS, tol: float = 1e-12):
     """Sign change of m_a''(s)*m_b(1-s) - m_a(s)*m_b''(1-s), i.e. of h'; see find_s1."""
     s = clipped_grid(grid_n, eps)
-    return _first_root(pair, "s2", s, _jets(pair, s, 2), tol)
+    return _first_root(pair, "s2", s, *_flux_jets(pair, s, 2)[1:], tol)
 
 
 def inflection_points(
@@ -190,15 +183,14 @@ def inflection_points(
     eps outside (0, 1e-3) raises ValueError.
     """
     s = clipped_grid(grid_n, eps, 1000)
-    a, b = _jets(pair, s, 2)
-    y = np.asarray(_flux_from(s, a, b)[2], dtype=float)
+    (_, _, y), a, b = _flux_jets(pair, s, 2)
     found = sign_changes(s, y, lambda t: float(f_taylor(pair, t, 2)[2]), tol)
     roots = np.array([root for root, _ in found])
     return FluxAnalysis(
         inflections=[Inflection(root, direction) for root, direction in found],
         f3_at_half=float(f_jet(pair, 0.5).f3) if pair.m_a == pair.m_b else None,
-        s1=_first_root(pair, "s1", s, (a, b), tol),
-        s2=_first_root(pair, "s2", s, (a, b), tol),
+        s1=_first_root(pair, "s1", s, a, b, tol),
+        s2=_first_root(pair, "s2", s, a, b, tol),
         s_shaped=len(found) == 1,
         tangency_warnings=_tangency_suspects(s, y, roots, 2.0 * (s[1] - s[0])),
         grid_n=grid_n, eps=eps, tol=tol,

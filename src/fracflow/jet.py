@@ -167,8 +167,7 @@ class Tape:
             out: list[str] = []
             for name in result:
                 if name in self.known:
-                    like = f"_{'zeros' if name == '0.0' else 'ones'}_like({params[0]})"
-                    name = self.let(like if name in _UNIT else f"{name} * {like}")
+                    name = self.opaque((name,), params[0])[0]
                 elif name in out:
                     name = self.let(f"_copy({name})")
                 out.append(name)
@@ -236,9 +235,15 @@ class Tape:
             return f"-{y}"
         return f"({x}) / {y}" if op == "/" and " " in x else f"{x} {op} {y}"
 
-    def opaque(self, comps: Names) -> Names:
-        """comps with known components bound to locals: rules then fold none."""
-        return tuple(self.let(c) if c in self.known else c for c in comps)
+    def opaque(self, comps: Names, like: str) -> Names:
+        """comps with each known component bound to a new local, in an array
+        program an array shaped like the local `like`: rules then fold none."""
+        def bind(c: str) -> str:
+            if not self.array:
+                return self.let(c)
+            fill = f"_{'zeros' if c == '0.0' else 'ones'}_like({like})"
+            return self.let(fill if c in _UNIT else f"{c} * {fill}")
+        return tuple(bind(c) if c in self.known else c for c in comps)
 
     def _name(self, expr: str) -> str:
         """expr as a component: itself if it is a name, else a new local."""

@@ -90,7 +90,8 @@ class ModelExpr(_Compiled):
         whose DomainError does not name the tree or the point."""
         key = (order, array)
         if key not in self._programs:
-            self._programs[key] = _compile(self, order, array)
+            tape = Tape(array)
+            self._programs[key] = tape.build(["s"], _emit(tape, self, "s", order))
         return self._programs[key]
 
     def __str__(self) -> str:
@@ -134,17 +135,11 @@ class Exp(ModelExpr):
     arg: ModelExpr
 
 
-def _compile(expr: ModelExpr, order: int, array: bool):
-    """One straight-line program for the first `order` derivatives of expr."""
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}")
-    tape = Tape(array)
-    return tape.build(["s"], _emit(tape, expr, "s", order))
-
-
 def _emit(tape: Tape, e: ModelExpr, s: str, order: int):
     """Append the first `order` derivatives of e at the local s to tape and
     return the names of the jet's components."""
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}")
     sub = lambda node: _emit(tape, node, s, order)
     if isinstance(e, Const):
         return tape.constant(e.value, order)
@@ -168,8 +163,9 @@ class ModelPair(_Compiled):
     """Mobilities of the two phases.
 
     m_a is evaluated at s, m_b at 1 - s; the reflection is applied by the
-    flux module, never baked into the stored expressions.  The flux module
-    caches its scalar programs of the pair's flux on the pair.
+    flux module, never baked into the stored expressions.  Its flux programs
+    (flux.pair_program) are cached on the pair; they inline both trees, whose
+    own programs are compiled only to name a failing tree in an error.
     """
 
     m_a: ModelExpr

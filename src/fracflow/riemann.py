@@ -24,11 +24,10 @@ sample up to vertices collinear with their hull neighbours within rounding,
 which the skipped tests may keep where the plain chain pops them.
 
 Both curve kinds share one deriv: a scalar straight-line program for f and
-f', or f, f' and f'' (for a pair: m_a at s and m_b at 1 - s fused into one
-program), bit for bit equal to the curve's reference route (f_taylor for a
-pair, taylor for an expression), which takes the points outside the
-program's domain.  A curve's value is its reference route for f (f_value
-for a pair, eval for an expression), which takes arrays and the exact ends.
+f', or f, f' and f'' (flux.pair_program for a pair, the tree's own program
+for an expression), with f_taylor or taylor at a clipped point for the
+points outside the program's domain.  A curve's value is f_value for a pair
+and eval for an expression, which take arrays and the exact ends.
 One walk over the chords refines each and tiles [a, b]: the run of contact
 edges before a chord is an arc ending at the chord's refined lo; a chord
 ends at its refined hi or, where the next chord shares its hull vertex, at
@@ -73,7 +72,8 @@ _LONG = 8  # chain steps of one pattern before _lower_hull_indices hands it to n
 
 class _Curve:
     """f' (order 1), or f' and f'' (order 2), from _program(order), compiled
-    on first use, else from _taylor at s clipped into [_CLIP, 1 - _CLIP].
+    on first use (for a pair, its flux program, which returns the trees' jets
+    after f's), else from _taylor at s clipped into [_CLIP, 1 - _CLIP].
     perfbench/spans.py wraps deriv on each subclass: neither subclasses the other."""
 
     _df = cached_property(lambda self: self._program(1))

@@ -104,6 +104,28 @@ def test_check_json_round_trips_at_full_precision(capsys):
         assert w1["s"] == w2["s"] and w1["value"] == w2["value"]
 
 
+def _strict_json(text):
+    """text parsed as strict JSON (RFC 8259), which has no NaN or Infinity."""
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_check_json_is_strict_where_criterion_T3_is_not_finite(tmp_path, capsys):
+    # 1e-300*s^2: the criterion overflows to -inf; s - s: m(0.5) = 0 leaves it nan
+    for model in ("1e-300*s^2", "s - s"):
+        code, out, err = run(capsys, "check", model, "--json")
+        assert code in (0, 1) and not err
+        assert _strict_json(out)["criterion_T3"] is None
+    spec = tmp_path / "both.model"
+    spec.write_text("m_a = 1e-300*s^2\nm_b = s^2\n")
+    code, out, _ = run(capsys, "check", str(spec), "--json")
+    doc = _strict_json(out)
+    assert doc["m_a"]["criterion_T3"] is None and doc["m_b"]["criterion_T3"] < 0.0
+    code, out, _ = run(capsys, "check", "1e-300*s^2")
+    assert "criterion_T3: -inf" in out  # the text report keeps the value
+
+
 def test_check_model_file(tmp_path, capsys):
     spec = tmp_path / "quadratic.model"
     spec.write_text("# symmetric quadratic\nm_a = s^2\nm_b = s^2\n")

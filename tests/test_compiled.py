@@ -657,9 +657,44 @@ def _clipped_slope(taylor, s, order=1):
     return float(out[1]) if order == 1 else (float(out[1]), float(out[2]))
 
 
+def _reference_taylor(pair, s, order):
+    """f and its first `order` derivatives at s without a pair program: order
+    0 is a / (a + b) of the trees' values, orders 1-3 the first components of
+    the trees' order-3 jets combined by jet.add, jet.reflect and jet.div."""
+    if order == 0:
+        a, b = pair.m_a.eval(s), pair.m_b.eval(1.0 - s)
+        return (a / (a + b),)
+    a = jet.Jet3(*pair.m_a.taylor(s))
+    f = jet.div(a, jet.add(a, jet.reflect(lambda t: jet.Jet3(*pair.m_b.taylor(t)), s)))
+    return (f.f0, f.f1, f.f2, f.f3)[:order + 1]
+
+
+def _bits(components):
+    return [(type(c).__name__, np.asarray(c, dtype=float).tobytes()) for c in components]
+
+
+def test_curve_programs_equal_the_taylor_route_bit_for_bit():
+    # over every catalog pair, at scalar points and on an array: f_taylor and
+    # the curves' slopes, all from pair programs, against _reference_taylor
+    catalog = list(ff.catalog().values())
+    compared = 0
+    for m_a in catalog:
+        for m_b in catalog:
+            pair = ff.ModelPair(m_a, m_b)
+            curve = riemann.PairFlux(pair)
+            for s in (*POINTS[::40].tolist(), POINTS):
+                for order in range(4):
+                    assert _bits(f_taylor(pair, s, order)) == _bits(_reference_taylor(pair, s, order)), (pair, s, order)
+                    compared += 1
+                if not isinstance(s, np.ndarray):
+                    assert curve.deriv(s) == _reference_taylor(pair, s, 1)[1]
+                    assert curve.deriv(s, 2) == _reference_taylor(pair, s, 2)[1:]
+    assert compared == len(catalog) ** 2 * 6 * 4
+
+
 @settings(max_examples=200, deadline=None)
 @given(_trees(), _trees(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-def test_curve_programs_equal_the_taylor_route_bit_for_bit(m_a, m_b, s):
+def test_drawn_curves_equal_their_clipped_taylor_route(m_a, m_b, s):
     pair = ff.ModelPair(m_a, m_b)
     curve = riemann.PairFlux(pair)
     taylor = functools.partial(f_taylor, pair)
@@ -704,9 +739,9 @@ def test_pair_programs_are_compiled_once_and_pickle_away():
     curve = riemann.PairFlux(pair)
     assert "_programs" not in pair.__dict__  # nothing is compiled before the first call
     assert riemann.PairFlux(pair)._df is curve._df
-    assert sorted(pair._programs) == [1]
+    assert sorted(pair._programs) == [(1, False)]
     assert riemann.PairFlux(pair)._d2f is curve._d2f is pair_program(pair, 2)
-    assert sorted(pair._programs) == [1, 2]
+    assert sorted(pair._programs) == [(1, False), (2, False)]
     copy = pickle.loads(pickle.dumps(pair))
     assert copy == pair and "_programs" not in copy.__dict__
     assert riemann.PairFlux(copy).deriv(0.3) == curve.deriv(0.3)

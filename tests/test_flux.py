@@ -369,3 +369,69 @@ def test_tangency_suspects_skip_near_zero_samples_next_to_a_root():
         assert _tangency_suspects(s, y, roots, 2.0 * spacing) == expected
     assert reference_suspects(s, y, np.array([0.5])) == [0.125, 1.0]
     assert reference_suspects(s, y, np.array([])) == [0.125, 0.25, 0.5, 0.625, 1.0]
+
+
+# -- the pair program's edges, on a float and on an array ----------------------
+
+@pytest.mark.parametrize("order", range(4))
+def test_constant_pair_gives_components_shaped_like_s(order):
+    pair = ff.ModelPair(ff.parse("1"), ff.parse("1"))
+    for s in (0.3, np.array([0.3, 0.7]), np.array([[0.2], [0.4]])):
+        out = flux.pair_program(pair, order, isinstance(s, np.ndarray))(s)
+        assert len(out) == 3 * (order + 1)  # f, then m_a's jet, then m_b's
+        for c, want in zip(out, (0.5, 0.0, 0.0, 0.0)[:order + 1] + ((1.0, 0.0, 0.0, 0.0)[:order + 1]) * 2):
+            if isinstance(s, np.ndarray):
+                assert isinstance(c, np.ndarray) and c.shape == s.shape and (c == want).all()
+            else:
+                assert type(c) is float and c == want
+    analysis = inflection_points(pair, grid_n=1000)
+    assert (analysis.inflections, analysis.s1, analysis.s2) == ([], None, None)
+    assert len(analysis.tangency_warnings) == 1000  # f'' is 0 on the whole grid
+
+
+def test_zero_pair_fails_on_a_float_and_returns_empty_arrays_on_an_empty_s():
+    pair = ff.ModelPair(ff.parse("0*s"), ff.parse("0*s"))
+    for order in range(4):
+        out = f_taylor(pair, np.array([]), order)
+        assert len(out) == order + 1 and all(isinstance(c, np.ndarray) and c.shape == (0,) for c in out)
+        with pytest.raises(ff.DomainError, match=r"^zero total mobility at s=0\.5$") as info:
+            f_taylor(pair, 0.5, order)
+        assert info.value.index is None
+
+
+@pytest.mark.parametrize("m_a, m_b, s, message, index", [
+    # m_a fails at s
+    ("(s - 0.2)^1.5", "s^2", 0.1, "non-integer power 1.5 of a non-positive value while evaluating (s - 0.2)^1.5"
+     " at s=0.1", None),
+    ("(s - 0.2)^1.5", "s^2", np.array([0.9, 0.1]), "non-integer power 1.5 of a non-positive value while"
+     " evaluating (s - 0.2)^1.5 at s[1]=0.1", 1),
+    # m_b fails at 1 - s, the point its error names
+    ("s^2", "(s - 0.5)^1.5", 0.9, "non-integer power 1.5 of a non-positive value while evaluating (s - 0.5)^1.5"
+     " at s=0.09999999999999998", None),
+    ("s^2", "(s - 0.5)^1.5", np.array([0.9]), "non-integer power 1.5 of a non-positive value while evaluating"
+     " (s - 0.5)^1.5 at s[0]=0.09999999999999998", 0),
+    # m_a(s) + m_b(1 - s) = 0.5 - s
+    ("s - 0.5", "2*(s - 0.5)", 0.5, "zero total mobility at s=0.5", None),
+    ("s - 0.5", "2*(s - 0.5)", np.array([0.25, 0.5, 0.5]), "zero total mobility at s[1]=0.5", 1),
+], ids=["m_a", "m_a-array", "m_b", "m_b-array", "total", "total-array"])
+@pytest.mark.parametrize("order", range(4))
+def test_pair_errors_name_the_failing_tree_and_point(m_a, m_b, s, message, index, order):
+    pair = ff.ModelPair(ff.parse(m_a), ff.parse(m_b))
+    if order == 0:  # the plain value's power rule
+        message = message.replace("non-positive", "negative")
+    with pytest.raises(ff.DomainError) as info:
+        f_taylor(pair, s, order)
+    assert (str(info.value), info.value.index) == (message, index)
+
+
+def test_pair_analyses_and_fans_compile_no_tree_program():
+    analysed = ff.ModelPair(ff.parse("s^1.1 * exp(s^10)"), ff.parse("s^2.5"))
+    inflection_points(analysed)
+    corey = ff.ModelPair(ff.corey_a(), ff.corey_b())
+    fan = ff.riemann.solve(ff.riemann.RiemannProblem(1.0, 0.0, corey))
+    speeds = [getattr(w, name) for w in fan.waves for name in ("speed", "speed_lo", "speed_hi") if hasattr(w, name)]
+    for xi in np.linspace(min(speeds) - 0.1, max(speeds) + 0.1, 51).tolist():
+        ff.riemann.evaluate(fan, xi)
+    for pair in (analysed, corey):
+        assert pair._programs
+        assert not pair.m_a.__dict__.get("_programs") and not pair.m_b.__dict__.get("_programs")
