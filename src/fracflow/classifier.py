@@ -18,7 +18,11 @@ blow-up of m''/m'.
 Values smaller than ZERO_TOL in magnitude are recorded as indeterminate
 witnesses instead of pass/fail evidence: exact zeros occur both at
 symmetry points and where very small mobilities underflow (for example the
-exponential preset near s = 0).
+exponential preset near s = 0).  ZERO_TOL is the grid tests' one threshold.
+One reduction decides a condition whose samples all pass by at least
+ZERO_TOL; only a failing or undecided one builds masks, for its witnesses.
+Likewise a finite sum shows every value of an array finite, and only a sum
+that is not (or overflows) runs the scan for the first non-finite value.
 """
 
 from __future__ import annotations
@@ -67,21 +71,22 @@ class ConditionReport:
 
 def _classify(name: str, s: np.ndarray, values: np.ndarray, want_positive: bool):
     """Grid sign test; returns (verdict, witnesses)."""
+    least = values.min() if want_positive else -values.max()
+    if least >= ZERO_TOL:  # every sample decided and passing
+        return "pass", []
     signed = values if want_positive else -values
-    fail = signed <= -ZERO_TOL
-    indet = np.abs(values) < ZERO_TOL
     witnesses: list[Witness] = []
-    if np.any(fail):
+    if least <= -ZERO_TOL:
         worst = int(np.argmin(signed))
-        idx = list(np.flatnonzero(fail)[: _MAX_WITNESSES - 1])
+        idx = list(np.flatnonzero(signed <= -ZERO_TOL)[: _MAX_WITNESSES - 1])
         if worst not in idx:
             idx.append(worst)
         for i in idx:
             witnesses.append(Witness(name, float(s[i]), float(values[i])))
+    indet = np.abs(values) < ZERO_TOL if least <= -ZERO_TOL else signed < ZERO_TOL
     for i in np.flatnonzero(indet)[:_MAX_WITNESSES]:
         witnesses.append(Witness(name, float(s[i]), float(values[i]), kind="indeterminate"))
-    verdict = "fail" if np.any(fail) else "pass"
-    return verdict, witnesses
+    return ("fail" if least <= -ZERO_TOL else "pass"), witnesses
 
 
 # numerator of the ratio's derivative, and the ratio's denominator
@@ -115,11 +120,14 @@ def check_conditions(m: ModelExpr, grid_n: int = 4096, eps: float = 1e-6) -> Con
         ("c4star_extra", _RATIOS["m1/m"][0](j), False),
     )
     # an overflowed value decides nothing: fail at the first grid point where
-    # a condition value is not finite
-    finite = np.isfinite([values for _, values, _ in conditions])
-    if not finite.all():
-        name, values, _ = conditions[int(finite[:, finite.all(axis=0).argmin()].argmin())]
-        _require_finite(s, values, f"{name} value")
+    # a condition value is not finite; a finite sum shows that none is
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow
+        total = sum(np.add.reduce(values) for _, values, _ in conditions)
+    if not math.isfinite(total):
+        finite = np.isfinite([values for _, values, _ in conditions])
+        if not finite.all():
+            name, values, _ = conditions[int(finite[:, finite.all(axis=0).argmin()].argmin())]
+            _require_finite(s, values, f"{name} value")
     verdicts: dict[str, str] = {}
     witnesses: list[Witness] = []
     for name, values, want_positive in conditions:
@@ -215,25 +223,27 @@ def sign_changes(s, values, func, tol):
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     _require_finite(s, values, "sample")
-    sgn = np.zeros(len(values), dtype=int)
-    sgn[values > ZERO_TOL] = 1
-    sgn[values < -ZERO_TOL] = -1
-
+    pos = values > ZERO_TOL
+    decided = pos | (values < -ZERO_TOL)
+    # neighbouring decided samples of opposite sign bracket a crossing
+    nz = None if decided.all() else np.flatnonzero(decided)
+    sides = pos if nz is None else pos[nz]
+    k = np.flatnonzero(sides[:-1] != sides[1:])
+    lo, hi = (k, k + 1) if nz is None else (nz[k], nz[k + 1])
     out = []
-    nz = np.flatnonzero(sgn)
-    # consecutive nonzero samples of opposite sign bracket a crossing
-    for k in np.flatnonzero(sgn[nz[:-1]] != sgn[nz[1:]]):
-        i, jdx = nz[k], nz[k + 1]
+    for i, jdx in zip(lo, hi):
         root = _bisect_sign_change(func, float(s[i]), float(s[jdx]), tol,
                                    float(values[i]), float(values[jdx]))
-        out.append((root, "-+" if sgn[i] < 0 else "+-"))
+        out.append((root, "+-" if pos[i] else "-+"))
     return out
 
 
 def _require_finite(s, values, what: str) -> None:
     """Raise DomainError at the first non-finite entry of values sampled at s."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow
+        finite = math.isfinite(np.add.reduce(values, axis=None))
+    bad = [] if finite else np.flatnonzero(~np.isfinite(values))
+    if len(bad):
         raise DomainError(f"non-finite {what} at {point(s, int(bad[0]))}", int(bad[0]))
 
 

@@ -15,6 +15,7 @@ from fracflow.flux import f_taylor
 from fracflow.models import Const, Prod
 
 from bracket_reference import BRACKET_FUNCTIONS, BRACKET_KINDS, draw_bracket, same_trace, traced, two_loop_solver
+from sign_reference import EDGES, UNDECIDED, array_traces, check_trace
 from conftest import draw_c4star_candidate, draw_member, rel_close
 
 
@@ -389,3 +390,51 @@ def test_counterexample_brackets_take_at_most_eight_evaluations(name, count):
         root = _bisect_sign_change(func, float(s[i]), float(s[i + 1]), 1e-12, float(y[i]), float(y[i + 1]))
         assert len(calls) <= 8, (i, len(calls))
         assert f2(root) == 0.0 or f2(root - 1e-12) * f2(root + 1e-12) < 0.0, root
+
+
+# -- grid sign decisions from reductions -------------------------------------
+
+_SAMPLE = st.one_of(st.sampled_from(EDGES + [1e308, -1e308]), st.floats(-1e3, 1e3))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _sampled_values(draw):
+    """Sampled values with edge samples (+-ZERO_TOL, +-0.0, subnormals),
+    undecided runs at the start, the middle or the end (or everywhere), at
+    most one NaN or +-inf, or finite values whose sum overflows."""
+    values = draw(st.lists(_SAMPLE, min_size=1, max_size=40))
+    n = len(values)
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.sampled_from([0, n // 2, n - 1, draw(st.integers(0, n - 1))]))
+        hi = draw(st.sampled_from([n, lo + 1, draw(st.integers(lo, n))]))
+        values[lo:hi] = [draw(st.sampled_from(UNDECIDED)) for _ in values[lo:hi]]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = draw(_NON_FINITE)
+    elif draw(st.integers(0, 4)) == 0:
+        values[: min(n, 4)] = [1e308] * min(n, 4)
+    return np.array(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=_sampled_values())
+def test_grid_sign_decisions_equal_the_mask_reference(values):
+    # verdicts, witness reprs, the (lo, hi, f_lo, f_hi) handed to the solver,
+    # and each DomainError's message and index, against the mask-based code
+    s = np.linspace(0.0, 1.0, len(values))
+    for what, (want, got) in array_traces(s, values):
+        assert got == want, what
+
+
+@settings(max_examples=150, deadline=None)
+@given(conditions=st.lists(_sampled_values(), min_size=5, max_size=5), n=st.integers(100, 140), data=st.data())
+def test_check_conditions_sign_stage_equals_the_mask_reference(conditions, n, data):
+    # the five condition arrays of one grid, tiled from drawn values, each with
+    # at most one more non-finite value, so the stacked rule picks among
+    # conditions and grid points
+    arrays = tuple(np.resize(values, n) for values in conditions)
+    for values in arrays:
+        if data.draw(st.booleans()):
+            values[data.draw(st.integers(0, n - 1))] = data.draw(_NON_FINITE)
+    want, got = check_trace(arrays)
+    assert got == want
