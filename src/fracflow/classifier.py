@@ -20,9 +20,11 @@ witnesses instead of pass/fail evidence: exact zeros occur both at
 symmetry points and where very small mobilities underflow (for example the
 exponential preset near s = 0).  ZERO_TOL is the grid tests' one threshold.
 One reduction decides a condition whose samples all pass by at least
-ZERO_TOL; only a failing or undecided one builds masks, for its witnesses.
-Likewise a finite sum shows every value of an array finite, and only a sum
-that is not (or overflows) runs the scan for the first non-finite value.
+ZERO_TOL; only a failing or undecided one builds masks, for its witnesses,
+which take their s and values from one gather at their indices.  Likewise a
+finite sum shows every value of an array finite, and only a sum that is not
+(or overflows) runs the scan for the first non-finite value.  The grid is
+built once per (grid_n, eps, min_n) and shared read-only (clipped_grid).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,19 +77,20 @@ def _classify(name: str, s: np.ndarray, values: np.ndarray, want_positive: bool)
     least = values.min() if want_positive else -values.max()
     if least >= ZERO_TOL:  # every sample decided and passing
         return "pass", []
-    signed = values if want_positive else -values
-    witnesses: list[Witness] = []
-    if least <= -ZERO_TOL:
-        worst = int(np.argmin(signed))
-        idx = list(np.flatnonzero(signed <= -ZERO_TOL)[: _MAX_WITNESSES - 1])
+    failed = least <= -ZERO_TOL
+    idx: list[int] = []
+    if failed:
+        worst = int(values.argmin() if want_positive else values.argmax())
+        bad = values <= -ZERO_TOL if want_positive else values >= ZERO_TOL
+        idx = np.flatnonzero(bad)[:_MAX_WITNESSES - 1].tolist()
         if worst not in idx:
             idx.append(worst)
-        for i in idx:
-            witnesses.append(Witness(name, float(s[i]), float(values[i])))
-    indet = np.abs(values) < ZERO_TOL if least <= -ZERO_TOL else signed < ZERO_TOL
-    for i in np.flatnonzero(indet)[:_MAX_WITNESSES]:
-        witnesses.append(Witness(name, float(s[i]), float(values[i]), kind="indeterminate"))
-    return ("fail" if least <= -ZERO_TOL else "pass"), witnesses
+    n_fail = len(idx)
+    indet = np.abs(values) < ZERO_TOL if failed else values < ZERO_TOL if want_positive else values > -ZERO_TOL
+    idx += np.flatnonzero(indet)[:_MAX_WITNESSES].tolist()
+    witnesses = [Witness(name, si, vi, "fail" if k < n_fail else "indeterminate")
+                 for k, (si, vi) in enumerate(zip(s[idx].tolist(), values[idx].tolist()))]
+    return ("fail" if failed else "pass"), witnesses
 
 
 # numerator of the ratio's derivative, and the ratio's denominator
@@ -110,18 +114,17 @@ def check_conditions(m: ModelExpr, grid_n: int = 4096, eps: float = 1e-6) -> Con
     grid point where one is not finite.
     """
     s = clipped_grid(grid_n, eps)
-    j = m.eval_jet(s)
-
-    conditions = (
-        ("c1", j.f0, True),
-        ("c2", j.f1, True),
-        ("c3", j.f2, True),
-        ("c4", _RATIOS["m2/m1"][0](j), False),
-        ("c4star_extra", _RATIOS["m1/m"][0](j), False),
-    )
     # an overflowed value decides nothing: fail at the first grid point where
     # a condition value is not finite; a finite sum shows that none is
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # the jet, a numerator or a sum may overflow
+        j = m.eval_jet(s)
+        conditions = (
+            ("c1", j.f0, True),
+            ("c2", j.f1, True),
+            ("c3", j.f2, True),
+            ("c4", _RATIOS["m2/m1"][0](j), False),
+            ("c4star_extra", _RATIOS["m1/m"][0](j), False),
+        )
         total = sum(np.add.reduce(values) for _, values, _ in conditions)
     if not math.isfinite(total):
         finite = np.isfinite([values for _, values, _ in conditions])
@@ -202,13 +205,21 @@ def monotonicity_change_of_ratio(
 
 
 def clipped_grid(grid_n: int, eps: float, min_n: int = 100) -> np.ndarray:
-    """The uniform grid of grid_n points on [eps, 1 - eps]; a grid_n below
-    min_n or an eps outside (0, 1e-3) raises ValueError."""
+    """The uniform grid of grid_n points on [eps, 1 - eps], one read-only
+    array per (grid_n, eps, min_n) built once; a grid_n below min_n or an
+    eps outside (0, 1e-3) raises ValueError."""
+    return _grid(grid_n, eps, min_n)
+
+
+@lru_cache(maxsize=16, typed=True)
+def _grid(grid_n: int, eps: float, min_n: int) -> np.ndarray:
     if grid_n < min_n:
         raise ValueError(f"grid_n must be >= {min_n}, got {grid_n}")
     if not 0.0 < eps < 1e-3:
         raise ValueError(f"eps must be in (0, 1e-3), got {eps}")
-    return np.linspace(eps, 1.0 - eps, grid_n)
+    s = np.linspace(eps, 1.0 - eps, grid_n)
+    s.flags.writeable = False
+    return s
 
 
 def sign_changes(s, values, func, tol):

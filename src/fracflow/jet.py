@@ -7,10 +7,12 @@ differences.
 
 Each rule (sum, Leibniz product, quotient recurrence, Faa di Bruno for real
 powers and exp) is written once, as a Tape method that appends the Python
-source of its result components to a straight-line program.  Component j of
-every rule reads only components <= j of its operands, so a program built
-from jets of k+1 components is the exact truncation of the order-3 one.
-Components known as the program is built are folded away (see Tape).
+source of its result components to a straight-line program, one operation
+per line.  Component j of every rule reads only components <= j of its
+operands, so a program built from jets of k+1 components is the exact
+truncation of the order-3 one.  Components known as the program is built
+are folded away, and a local read for the last time takes the result of
+the operation that reads it, in place (see Tape).
 models compiles whole expression trees this way; the Jet3 functions below
 are order-3 programs of a single rule.  Components may be Python floats or
 numpy arrays (for whole-grid evaluation); every rule is elementwise.
@@ -99,6 +101,8 @@ _CHAIN = (
     "p3*a1*a1*a1 + 3.0*p2*a1*a2 + p1*a3",
 )
 _UNIT = ("1.0", "0.0", "0.0", "0.0")  # the jet of 1
+_LOCAL = re.compile(r"\b(v\d+)\b")
+_INPLACE = ("+", "-", "*", "/", "**")  # the operations a local can take as `x op= y`
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
         "**": operator.pow, "==": operator.eq, "<": operator.lt, "<=": operator.le}
 
@@ -116,7 +120,7 @@ def _maker(src: str) -> Callable:
 
 
 class Tape:
-    """A straight-line program under construction, one local per component.
+    """A straight-line program under construction, one local per operation.
 
     With array=False the program runs on plain floats, with math.exp, and
     domain checks are float comparisons.  With array=True components are
@@ -131,6 +135,18 @@ class Tape:
     A built program runs no assignment that neither its result nor a domain
     check reads, so a float `**` that would raise OverflowError there (as in
     0*(1000*s)^200.5) no longer raises.
+
+    The scan that drops those lines also updates in place: where
+    `vN = a op b` (+ - * / **) is the last read of a local a of floats, it
+    becomes `vN op= b` and the lines before it name a vN; for + and *,
+    `vN = k op a` with a known k that is not nan becomes `vN op= k` (with
+    two nan operands, which one comes out depends on the order).  So an
+    array program reuses the intermediates it no longer reads, and a scalar
+    one computes what it did.  Never updated: s and other parameters,
+    constants, returned components, a local that may hold integers (made
+    from the parameters by + - * and negation alone, with no float
+    constant: an int s makes it an int array), and anything in a program
+    of several parameters, whose arrays may differ in shape or dtype.
     """
 
     def __init__(self, array: bool):
@@ -138,12 +154,16 @@ class Tape:
         self.lines: list[str] = []
         self.consts: list = []
         self.known: dict = {"0.0": 0.0, "1.0": 1.0, "2.0": 2.0, "3.0": 3.0}
+        self.floats: set[str] = set(self.known)  # names that hold floats whatever the parameters hold
         self._n = 0
 
-    def let(self, expr: str) -> str:
+    def let(self, expr: str, floats: bool = False) -> str:
+        """A new local computed by expr; floats: it holds floats whatever s holds."""
         name = f"v{self._n}"
         self._n += 1
         self.lines.append(f"{name} = {expr}")
+        if floats:
+            self.floats.add(name)
         return name
 
     def const(self, value) -> str:
@@ -172,7 +192,7 @@ class Tape:
                     name = self.let(f"_copy({name})")
                 out.append(name)
             result = tuple(out)
-        body = "".join(f"            {line}\n" for line in self._live(result))
+        body = "".join(f"            {line}\n" for line in self._live(result, len(params) == 1))
         src = (  # a float ** or math.exp that overflows raises OverflowError; arrays get inf
             f"def make({', '.join(f'k{i}' for i in range(len(self.consts)))}):\n"
             f"    def run({', '.join(params)}):\n"
@@ -184,16 +204,31 @@ class Tape:
         )
         return _maker(src)(*self.consts)
 
-    def _live(self, result: Names) -> list[str]:
+    def _live(self, result: Names, inplace: bool) -> list[str]:
         """The lines that the result or a domain check reads, in one scan from
         the end; an array program also gets a `del` after the last read of
-        each local, so that it holds only its live intermediates."""
-        live, out = set(result), []
+        each local, so that it holds only its live intermediates.  With
+        inplace, a dying local of floats takes a result in place (see Tape)."""
+        live, out, into = set(result), [], {}  # into: a local -> the later local it becomes
         for line in reversed(self.lines):
-            target, _, expr = line.partition(" = ")
+            target = line.partition(" = ")[0]
+            target = into.get(target, target)
             if target[0] == "v" and target not in live:  # domain checks always stay
                 continue
-            fresh = set(re.findall(r"\bv\d+\b", expr or line)) - live
+            parts = _LOCAL.split(line)  # text, local, text, ..., local, text
+            if not into.keys().isdisjoint(parts[1::2]):
+                parts[1::2] = [into.get(name, name) for name in parts[1::2]]
+                line = "".join(parts)
+            fresh = set(parts[3 if target[0] == "v" else 1::2]).difference(live)
+            terms = line.split(" ")
+            if inplace and len(terms) == 5 and terms[3] in _INPLACE:
+                _, _, x, op, y = terms
+                commutes = op in "+*" and x in self.known and not math.isnan(self.known[x])
+                for a, b in ((x, y), (y, x))[:1 + commutes]:
+                    if a in fresh and a in self.floats:
+                        line, into[a] = f"{target} {op}= {target if b == a else b}", target
+                        fresh.discard(a)
+                        break
             if fresh and self.array:
                 out.append(f"del {', '.join(sorted(fresh))}")
             live |= fresh
@@ -204,6 +239,7 @@ class Tape:
         if type(value) is float and value in (0.0, 1.0):
             return "1.0" if value else "0.0"
         self.known[name := self.const(value)] = value
+        self.floats.add(name)
         return name
 
     def _fold(self, fn: Callable, *args):
@@ -218,22 +254,23 @@ class Tape:
             return None
         return value if type(value) is float else None
 
-    def _op(self, x: str, op: str, y: str) -> str:
-        """x op y folded: a known name, x or y itself, or source text."""
+    def _op(self, x: str, op: str, y: str, neg: bool = False) -> str:
+        """x op y folded: a known name, x or y itself, or a new local, which
+        with neg computes -x op y, that is (-x) op y."""
         kx, ky = self.known.get(x), self.known.get(y)
+        if op == "*" and 0.0 in (kx, ky):  # a known 0 times anything, also a known inf or nan
+            return "0.0"
         if x in self.known and y in self.known:
             value = self._fold(_OPS[op], kx, ky)
             if value is not None:
                 return self._known(value)
-        elif op == "*" and 0.0 in (kx, ky):
-            return "0.0"
         elif op == "*" and kx == 1.0 or op == "+" and kx == 0.0:
             return y
         elif op in "*/" and ky == 1.0 or op in "+-" and ky == 0.0:
             return x
         elif op == "-" and kx == 0.0:
-            return f"-{y}"
-        return f"({x}) / {y}" if op == "/" and " " in x else f"{x} {op} {y}"
+            return self.let(f"-{y}", y in self.floats)
+        return self.let(f"{'-' * neg}{x} {op} {y}", op in ("/", "**") or x in self.floats or y in self.floats)
 
     def opaque(self, comps: Names, like: str) -> Names:
         """comps with each known component bound to a new local, in an array
@@ -245,22 +282,25 @@ class Tape:
             return self.let(fill if c in _UNIT else f"{c} * {fill}")
         return tuple(bind(c) if c in self.known else c for c in comps)
 
-    def _name(self, expr: str) -> str:
-        """expr as a component: itself if it is a name, else a new local."""
-        return expr if expr in self.known or expr.isidentifier() else self.let(expr)
-
     def _rule(self, rows: tuple, order: int, divisor: Optional[str] = None, **operands: Names) -> Names:
         names = {f"{key}{j}": c for key, comps in operands.items() for j, c in enumerate(comps)}
         for j in range(order + 1):
             tokens = ("+ " + rows[j]).split(" ")
             acc = None
             for sign, term in zip(tokens[::2], tokens[1::2]):
-                prod = None
+                # 0 - f1*f2*... is (-f1)*f2*..., as Python reads the text -f1 * f2:
+                # equal to -(f1*f2*...) but for the sign of a nan made there
+                prod, neg = None, sign == "-" and self.known.get(acc) == 0.0
                 for factor in term.split("*"):
                     x = names.get(factor, factor)
-                    prod = x if prod is None else self._op(prod, "*", x)
+                    if prod is None:
+                        prod = x
+                        continue
+                    last, prod = prod, self._op(prod, "*", x, neg)
+                    if neg and prod not in (last, x) and prod not in self.known:
+                        neg, sign = False, "+"  # the new local holds (-f1)*f2
                 acc = prod if acc is None else self._op(acc, sign, prod)
-            names[f"c{j}"] = self._name(acc if divisor is None else self._op(acc, "/", divisor))
+            names[f"c{j}"] = acc if divisor is None else self._op(acc, "/", divisor)
         return tuple(names[f"c{j}"] for j in range(order + 1))
 
     # -- leaves ----------------------------------------------------------
@@ -276,17 +316,17 @@ class Tape:
     # -- rules -----------------------------------------------------------
 
     def add(self, a: Names, b: Names) -> Names:
-        return tuple(self._name(self._op(x, "+", y)) for x, y in zip(a, b))
+        return tuple(self._op(x, "+", y) for x, y in zip(a, b))
 
     def sub(self, a: Names, b: Names) -> Names:
-        return tuple(self._name(self._op(x, "-", y)) for x, y in zip(a, b))
+        return tuple(self._op(x, "-", y) for x, y in zip(a, b))
 
     def neg(self, a: Names) -> Names:
-        return tuple(self._name(self._op("0.0", "-", x)) for x in a)
+        return tuple(self._op("0.0", "-", x) for x in a)
 
     def reflect(self, a: Names) -> Names:
         """Jet of s -> m(1 - s) from the jet of m at 1 - s: odd derivatives flip sign."""
-        return tuple(self._name(self._op("0.0", "-", x)) if j % 2 else x for j, x in enumerate(a))
+        return tuple(self._op("0.0", "-", x) if j % 2 else x for j, x in enumerate(a))
 
     def mul(self, a: Names, b: Names) -> Names:
         """Product via the Leibniz rule."""
@@ -320,35 +360,35 @@ class Tape:
                 self.check(a[0], "<", f"non-integer power {p} of a negative value")
             if p < 0:
                 self.check(a[0], "==", f"zero raised to negative power {p}")
-            return (self._name(self._op(a[0], "**", self._known(p))),)
+            return (self._op(a[0], "**", self._known(p)),)
         if p == round(p) and p < 0:
             return self.div(_UNIT[:order + 1], self.pow(a, -p))
         if p == round(p) and p < 2.0 ** 53:  # beyond, p - 3 rounds to an even float
             top = int(min(3, p))
-            powers = [self._name(self._op(a[0], "**", self._known(float(p - top)))) if p > top else "1.0"]
+            powers = [self._op(a[0], "**", self._known(float(p - top))) if p > top else "1.0"]
             for _ in range(top):
-                powers.insert(0, self._name(self._op(powers[0], "*", a[0])))
+                powers.insert(0, self._op(powers[0], "*", a[0]))
             powers += ["0.0"] * (3 - top)  # a0**(p-j) for j > p, whose coefficient is 0
         else:
             message = (f"non-integer power {p} of a non-positive value" if p != round(p) else
                        f"power {p} of a non-positive value (an integer from 2**53 on is too large"
                        " for the exact integer rule)")
             self.check(a[0], "<=", message)
-            powers = [self._name(self._op(a[0], "**", self._known(p)))]
+            powers = [self._op(a[0], "**", self._known(p))]
             for _ in range(order):
-                powers.append(self._name(self._op(powers[-1], "/", a[0])))
+                powers.append(self._op(powers[-1], "/", a[0]))
         # phi_j = p*(p-1)*...*(p-j+1) * a0**(p-j), the coefficient folded into a constant
         coeff, phis = 1.0, [powers[0]]
         for j in range(1, order + 1):
             coeff *= p - (j - 1.0)
-            phis.append(self._name(self._op(self._known(coeff), "*", powers[j])))
+            phis.append(self._op(self._known(coeff), "*", powers[j]))
         return self._rule(_CHAIN, order, p=tuple(phis), a=a)
 
     def exp(self, a: Names) -> Names:
         """exp(a); a known a0 folds unless math.exp overflows, which the float
         program then raises as it runs."""
         value = self._fold(np.exp if self.array else math.exp, self.known[a[0]]) if a[0] in self.known else None
-        e = self.let(f"{'exp' if self.array else 'math_exp'}({a[0]})") if value is None else self._known(value)
+        e = self.let(f"{'exp' if self.array else 'math_exp'}({a[0]})", floats=True) if value is None else self._known(value)
         return self._rule(_CHAIN, len(a) - 1, p=(e,) * len(a), a=a)
 
 

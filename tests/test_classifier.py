@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fracflow as ff
-from fracflow.classifier import (_bisect_sign_change, check_conditions, report_to_text,
+from fracflow.classifier import (_bisect_sign_change, check_conditions, clipped_grid, report_to_text,
                                  sign_changes)
 from fracflow.flux import f_taylor
 from fracflow.models import Const, Prod
@@ -206,6 +207,44 @@ def test_check_conditions_rejects_non_finite_condition_values():
         with pytest.raises(ff.DomainError, match=rf"non-finite c4 value at s\[{first}\]=") as info:
             check_conditions(m)
     assert info.value.index == first
+
+
+@pytest.mark.parametrize("text,index,message", [
+    ("1e200*s^2", 0, "non-finite c4 value at s[0]=1e-06"),  # m''^2 overflows everywhere
+    ("s^2*exp(800*s)", 1757, "non-finite c4 value at s[1757]=0.4290599709401709"),  # the jet overflows too
+])
+def test_check_conditions_raises_no_runtime_warning(text, index, message):
+    # no errstate here: an overflow in the jet or a numerator is reported
+    # by the DomainError alone, also where warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ff.DomainError) as info:
+            check_conditions(ff.parse(text))
+    assert str(info.value) == message and info.value.index == index
+
+
+def test_clipped_grid_is_built_once_and_read_only():
+    s = clipped_grid(4096, 1e-6)
+    assert clipped_grid(4096, 1e-6, 100) is s and clipped_grid(grid_n=4096, eps=1e-6) is s
+    assert clipped_grid(4096, 1e-6, 1000) is not s and clipped_grid(4096, 2e-6) is not s
+    assert s.tobytes() == np.linspace(1e-6, 1.0 - 1e-6, 4096).tobytes()
+    assert not s.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        s[0] = 0.5
+    with pytest.raises(ValueError, match=r"^grid_n must be >= 100, got 99$"):
+        clipped_grid(99, 1e-6)
+    with pytest.raises(ValueError, match=r"^grid_n must be >= 1000, got 999$"):
+        clipped_grid(999, 1e-6, 1000)
+    with pytest.raises(ValueError, match=r"^eps must be in \(0, 1e-3\), got 0.5$"):
+        clipped_grid(4096, 0.5)
+
+
+@pytest.mark.parametrize("text", ["s^1.1 * exp(s^10)", "s - 0.5", "(s - 0.5)^2", "exp(-1/s)"])
+def test_witnesses_hold_python_floats(text):
+    report = check_conditions(ff.parse(text))
+    assert {w.kind for w in report.witnesses} <= {"fail", "indeterminate"} and report.witnesses
+    for w in report.witnesses:
+        assert type(w.s) is float and type(w.value) is float, w
 
 
 def test_power_family_admissible():

@@ -3,6 +3,7 @@ and the hard inputs at the domain boundary."""
 
 import collections
 import functools
+import itertools
 import math
 import pickle
 import re
@@ -11,13 +12,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fracflow as ff
 from fracflow import jet, models, riemann
 from fracflow.flux import f_taylor, pair_program
 
 from conftest import draw_member, rel_close
+from program_reference import outcome as reference_outcome, reference_program
 
 
 def trees():
@@ -158,7 +160,8 @@ def test_integer_power_programs_take_one_float_power(array):
     models._emit(tape, ff.parse(models.COUNTEREXAMPLES[2]), "s", 2)
     powers = [line for line in tape.lines if "**" in line]
     assert len(powers) == 2  # s^1.1 and s^27
-    assert sum(" = " in line and not line.startswith("bad") for line in tape.lines) <= 18
+    # one operation per local: 25 in all, each rule row's products and sums counted apart
+    assert sum(" = " in line and not line.startswith("bad") for line in tape.lines) <= 25
 
 
 @pytest.mark.parametrize("array", [False, True])
@@ -488,6 +491,10 @@ def _jet_outcome(fn, s):
         return name, getattr(exc, "index", None) if isinstance(s, np.ndarray) else None
 
 
+def _overflowed(outcome) -> bool:
+    return isinstance(outcome[0], str) and outcome[0] == "overflow"
+
+
 def _assert_folded(got, want, invalid):
     """got equals want: bit for bit where want is finite and nonzero, by value
     at zeros and infinities, and with nan at the same places unless the
@@ -516,22 +523,32 @@ def _meets_invalid(fn, *args):
 @settings(max_examples=200, deadline=None)
 @given(_trees(leaves=st.sampled_from(CONSTANT_SUBTREES),
               exponents=[-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, -1.5, 0.5, 1.1]))
+@example(ff.parse("exp(exp(s^-2))^0"))  # math.exp overflows in a subtree that ^0 leaves unread
+@example(ff.parse("exp(exp(1 + 2*3))^0"))  # the same in a constant subtree
+@example(ff.parse("(s + 3.762555968002321e-191^-1.5)^0"))  # a known 0 times a known inf
 def test_folded_programs_equal_the_unfolded_composition(m):
     for s in (POINTS, *POINTS[::50].tolist()):
         invalid = _meets_invalid(lambda x: _unfolded(m, x), s)
         with np.errstate(all="ignore"):
             want = _jet_outcome(lambda: _unfolded(m, s).__dict__.values(), s)
+            if _overflowed(want):
+                # the scalar composition runs every node, but a program runs no
+                # line that neither its result nor a domain check reads (Tape);
+                # one that does not raise the overflow gives the outcome of the
+                # array composition at s, whose exp and ** overflow to inf
+                at_s = _jet_outcome(lambda: [c[0] for c in _unfolded(m, np.array([s])).__dict__.values()], s)
             for k in (1, 2, 3):
                 got = _jet_outcome(lambda: m.taylor(s, k), s)
-                if isinstance(want[0], str) or isinstance(got[0], str):
+                expected = at_s if _overflowed(want) and not _overflowed(got) else want
+                if isinstance(expected[0], str) or isinstance(got[0], str):
                     # a float power may overflow in the order-3 components
                     # alone; a known 0 may make a nan divisor (0*inf) zero
-                    if (k == 3 or want[0] == "DomainError") and not invalid:
-                        assert got == want, (str(m), k)
+                    if (k == 3 or expected[0] == "DomainError") and not invalid:
+                        assert got == expected, (str(m), k)
                     continue
                 assert len(got) == k + 1, (str(m), k)
                 for j in range(k + 1):
-                    _assert_folded(got[j], want[j], invalid)
+                    _assert_folded(got[j], expected[j], invalid)
 
 
 RULES = [("add", 2, ()), ("sub", 2, ()), ("mul", 2, ()), ("div", 2, ()), ("neg", 1, ()),
@@ -628,12 +645,51 @@ def test_dropping_dead_locals_changes_no_bit(m, monkeypatch):
 
     pruned = outputs()
     jet._maker.cache_clear()
-    monkeypatch.setattr(jet.Tape, "_live", lambda tape, result: tape.lines)  # every line, no del
+    # every line, no del, nothing updated in place
+    monkeypatch.setattr(jet.Tape, "_live", lambda tape, result, inplace: tape.lines)
     try:
         assert outputs() == pruned
     finally:
         jet._maker.cache_clear()
         m._programs.clear()
+
+
+def _s_kinds() -> dict:
+    """Every kind of s an array program takes, made afresh."""
+    read_only = POINTS[:12].copy()
+    read_only.flags.writeable = False
+    return {"1-D": POINTS[:12].copy(), "2-D": POINTS[:12].reshape(3, 4).copy(), "0-D": np.array(0.3),
+            "empty": np.array([]), "float32": POINTS[:12].astype(np.float32),
+            "int": np.array([-1, 0, 1, 2]), "read-only": read_only}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(leaves=st.sampled_from(CONSTANT_SUBTREES)), st.integers(0, 3))
+def test_programs_updating_in_place_equal_the_reference_emission(m, order):
+    # the type, dtype, shape and bytes of every component, or the error, as
+    # the former emission (one local per component, nothing updated in
+    # place) gives them; s is never written, and no two components share memory
+    for array, inputs in ((True, _s_kinds()), (False, {"float": 0.3, "int": 2})):
+        program, reference = m.program(order, array), reference_program(m, order, array)
+        for kind, s in inputs.items():
+            before = np.array(s, copy=True)
+            got = reference_outcome(program, s)
+            assert got == reference_outcome(reference, s), (str(m), order, kind)
+            assert np.array_equal(s, before), (str(m), order, kind)
+            if isinstance(got[0], tuple):
+                with np.errstate(all="ignore"):
+                    comps = program(s)
+                for i, j in itertools.combinations(range(len(comps)), 2):
+                    assert not np.shares_memory(comps[i], comps[j]), (str(m), order, kind, i, j)
+
+
+def test_a_local_that_may_hold_integers_is_not_updated_in_place():
+    # s + s of an int s is an int array: `*= 2.5` on it would raise UFuncTypeError
+    s = np.array([1, 2, 3])
+    for order in range(4):
+        assert [c.tolist() for c in ff.parse("(s + s)*2.5").taylor(s, order)] == [
+            [5.0, 10.0, 15.0], [5.0] * 3, [0.0] * 3, [0.0] * 3][:order + 1]
+    assert ff.parse("(s*s - s)*0.5").taylor(s, 0)[0].tolist() == [0.0, 1.0, 3.0]
 
 
 def _outcome(fn, s):
