@@ -65,7 +65,7 @@ def pair_program(pair: ModelPair, order: int = 1, array: bool = False):
     if key not in pair._programs:
         tape = Tape(array)
         a = tape.opaque(_emit(tape, pair.m_a, "s", order), "s")
-        b = tape.opaque(_emit(tape, pair.m_b, tape.let("1.0 - s", floats=True), order), "s")
+        b = tape.opaque(_emit(tape, pair.m_b, tape.sub(tape.constant(1.0, 0), tape.seed("s", 0))[0], order), "s")
         pair._programs[key] = tape.build(["s"], _flux_rule(tape, a, b) + a + b)
     return pair._programs[key]
 

@@ -6,13 +6,14 @@ of composed expressions, with none of the cancellation noise of finite
 differences.
 
 Each rule (sum, Leibniz product, quotient recurrence, Faa di Bruno for real
-powers and exp) is written once, as a Tape method that appends the Python
-source of its result components to a straight-line program, one operation
-per line.  Component j of every rule reads only components <= j of its
-operands, so a program built from jets of k+1 components is the exact
-truncation of the order-3 one.  Components known as the program is built
-are folded away, and a local read for the last time takes the result of
-the operation that reads it, in place (see Tape).
+powers and exp) is written once, as a Tape method that records its result
+components as a straight-line program, one operation per line.  A line is
+data (see Tape); Python source is written only when a program is built,
+from the lines it keeps.  Component j of every rule reads only components
+<= j of its operands, so a program built from jets of k+1 components is
+the exact truncation of the order-3 one.  Components known as the program
+is built are folded away, and a local read for the last time takes the
+result of the operation that reads it, in place (see Tape).
 models compiles whole expression trees this way; the Jet3 functions below
 are order-3 programs of a single rule.  Components may be Python floats or
 numpy arrays (for whole-grid evaluation); every rule is elementwise.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -101,8 +101,7 @@ _CHAIN = (
     "p3*a1*a1*a1 + 3.0*p2*a1*a2 + p1*a3",
 )
 _UNIT = ("1.0", "0.0", "0.0", "0.0")  # the jet of 1
-_LOCAL = re.compile(r"\b(v\d+)\b")
-_INPLACE = ("+", "-", "*", "/", "**")  # the operations a local can take as `x op= y`
+_INPLACE = {f"{{}} {op} {{}}": op for op in ("+", "-", "*", "/", "**")}  # formats a local can take as `x op= y`
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
         "**": operator.pow, "==": operator.eq, "<": operator.lt, "<=": operator.le}
 
@@ -110,9 +109,8 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
 @lru_cache(maxsize=256)
 def _maker(src: str) -> Callable:
     # Constants and messages are arguments of `make`, so trees of one shape
-    # (one source text) share one code object and differ only in closures.
-    # Scalar programs call math_exp and array programs exp, so the two kinds
-    # never share a source.
+    # (one source text) share one code object and differ only in closures,
+    # as do a scalar and an array program whose texts agree.
     namespace = {"np": np, "exp": np.exp, "math_exp": math.exp, "DomainError": DomainError,
                  "_ones_like": _ones_like, "_zeros_like": _zeros_like, "_copy": _copy}
     exec(compile(src, "<jet tape>", "exec"), namespace)
@@ -147,21 +145,25 @@ class Tape:
     from the parameters by + - * and negation alone, with no float
     constant: an int s makes it an int array), and anything in a program
     of several parameters, whose arrays may differ in shape or dtype.
+
+    A line is a tuple (target, format, *operands): the local it assigns or
+    None for a domain check, and its text with a {} per name it reads, as
+    ("v5", "{} * {}", "v3", "s"); `build` renders only the lines it keeps.
     """
 
     def __init__(self, array: bool):
         self.array = array
-        self.lines: list[str] = []
+        self.lines: list[tuple] = []
         self.consts: list = []
         self.known: dict = {"0.0": 0.0, "1.0": 1.0, "2.0": 2.0, "3.0": 3.0}
         self.floats: set[str] = set(self.known)  # names that hold floats whatever the parameters hold
         self._n = 0
 
-    def let(self, expr: str, floats: bool = False) -> str:
-        """A new local computed by expr; floats: it holds floats whatever s holds."""
+    def let(self, fmt: str, *operands: str, floats: bool = False) -> str:
+        """A new local, fmt with its {}s the operands; floats: it holds floats whatever s holds."""
         name = f"v{self._n}"
         self._n += 1
-        self.lines.append(f"{name} = {expr}")
+        self.lines.append((name, fmt, *operands))
         if floats:
             self.floats.add(name)
         return name
@@ -174,12 +176,11 @@ class Tape:
         """Raise DomainError(message) where `x op 0.0` holds; NaN never fails a check."""
         if x in self.known and not _OPS[op](self.known[x], 0.0):
             return
-        bad = f"{x} {op} 0.0"
         if self.array:
-            self.lines.append(f"bad = np.asarray({bad})")
-            self.lines.append(f"if bad.any(): raise DomainError({self.const(message)}, int(bad.argmax()))")
+            self.lines.append((None, f"bad = np.asarray({{}} {op} 0.0)", x))
+            self.lines.append((None, f"if bad.any(): raise DomainError({self.const(message)}, int(bad.argmax()))"))
         else:
-            self.lines.append(f"if {bad}: raise DomainError({self.const(message)})")
+            self.lines.append((None, f"if {{}} {op} 0.0: raise DomainError({self.const(message)})", x))
 
     def build(self, params: list[str], result: Names) -> Callable:
         """Compile the program into a function of params returning the tuple result."""
@@ -189,7 +190,7 @@ class Tape:
                 if name in self.known:
                     name = self.opaque((name,), params[0])[0]
                 elif name in out:
-                    name = self.let(f"_copy({name})")
+                    name = self.let("_copy({})", name)
                 out.append(name)
             result = tuple(out)
         body = "".join(f"            {line}\n" for line in self._live(result, len(params) == 1))
@@ -205,24 +206,21 @@ class Tape:
         return _maker(src)(*self.consts)
 
     def _live(self, result: Names, inplace: bool) -> list[str]:
-        """The lines that the result or a domain check reads, in one scan from
-        the end; an array program also gets a `del` after the last read of
-        each local, so that it holds only its live intermediates.  With
-        inplace, a dying local of floats takes a result in place (see Tape)."""
+        """The source of the lines that the result or a domain check reads, in
+        one scan from the end; an array program gets a `del` after each local's
+        last read, so it holds only its live intermediates.  With inplace, a
+        dying local of floats takes a result in place (see Tape)."""
         live, out, into = set(result), [], {}  # into: a local -> the later local it becomes
-        for line in reversed(self.lines):
-            target = line.partition(" = ")[0]
+        for target, fmt, *operands in reversed(self.lines):
             target = into.get(target, target)
-            if target[0] == "v" and target not in live:  # domain checks always stay
+            if target is not None and target not in live:  # domain checks always stay
                 continue
-            parts = _LOCAL.split(line)  # text, local, text, ..., local, text
-            if not into.keys().isdisjoint(parts[1::2]):
-                parts[1::2] = [into.get(name, name) for name in parts[1::2]]
-                line = "".join(parts)
-            fresh = set(parts[3 if target[0] == "v" else 1::2]).difference(live)
-            terms = line.split(" ")
-            if inplace and len(terms) == 5 and terms[3] in _INPLACE:
-                _, _, x, op, y = terms
+            operands = [into.get(name, name) for name in operands]
+            fresh = {name for name in operands if name[0] == "v"}.difference(live)
+            line = fmt.format(*operands) if target is None else f"{target} = {fmt.format(*operands)}"
+            op = inplace and _INPLACE.get(fmt)
+            if op:
+                x, y = operands
                 commutes = op in "+*" and x in self.known and not math.isnan(self.known[x])
                 for a, b in ((x, y), (y, x))[:1 + commutes]:
                     if a in fresh and a in self.floats:
@@ -269,17 +267,17 @@ class Tape:
         elif op in "*/" and ky == 1.0 or op in "+-" and ky == 0.0:
             return x
         elif op == "-" and kx == 0.0:
-            return self.let(f"-{y}", y in self.floats)
-        return self.let(f"{'-' * neg}{x} {op} {y}", op in ("/", "**") or x in self.floats or y in self.floats)
+            return self.let("-{}", y, floats=y in self.floats)
+        return self.let(f"{'-' * neg}{{}} {op} {{}}", x, y, floats=op in ("/", "**") or x in self.floats or y in self.floats)
 
     def opaque(self, comps: Names, like: str) -> Names:
         """comps with each known component bound to a new local, in an array
         program an array shaped like the local `like`: rules then fold none."""
         def bind(c: str) -> str:
             if not self.array:
-                return self.let(c)
-            fill = f"_{'zeros' if c == '0.0' else 'ones'}_like({like})"
-            return self.let(fill if c in _UNIT else f"{c} * {fill}")
+                return self.let("{}", c)
+            fill = f"_{'zeros' if c == '0.0' else 'ones'}_like({{}})"
+            return self.let(fill, like) if c in _UNIT else self.let("{} * " + fill, c, like)
         return tuple(bind(c) if c in self.known else c for c in comps)
 
     def _rule(self, rows: tuple, order: int, divisor: Optional[str] = None, **operands: Names) -> Names:
@@ -388,7 +386,7 @@ class Tape:
         """exp(a); a known a0 folds unless math.exp overflows, which the float
         program then raises as it runs."""
         value = self._fold(np.exp if self.array else math.exp, self.known[a[0]]) if a[0] in self.known else None
-        e = self.let(f"{'exp' if self.array else 'math_exp'}({a[0]})", floats=True) if value is None else self._known(value)
+        e = self.let(f"{'exp' if self.array else 'math_exp'}({{}})", a[0], floats=True) if value is None else self._known(value)
         return self._rule(_CHAIN, len(a) - 1, p=(e,) * len(a), a=a)
 
 

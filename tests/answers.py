@@ -14,8 +14,12 @@ workload's commands in this process, through fracflow.cli.main, into a
 temporary directory, and writes a `cli` section: per command its exit code,
 stdout and stderr with that directory masked, and per file it writes the
 file's sha256 and its perfbench digest (the numbers the cli golden
-compares).  To compare a change with its parent, dump the parent from a
-copy of its tree on its own PYTHONPATH:
+compares).  Last, a `programs` section: for every catalog and pool tree's
+programs at orders 0-3, scalar and array, and every pool pair's flux
+programs, the sha256 of the generated source and of the outputs, on 4097
+points of (0, 1) as an array and at 13 scalar points across [-0.25, 1.25],
+an error taken as its type, message and index.  To compare a change with
+its parent, dump the parent from a copy of its tree on its own PYTHONPATH:
 
     git archive HEAD~1 | tar -x -C ../parent
     PYTHONPATH=../parent/src python tests/answers.py dump --out parent.json
@@ -49,7 +53,7 @@ import warnings
 from pathlib import Path
 
 WORKLOADS = ("check_sweep", "analyze_sweep", "riemann_fans")
-SECTIONS = WORKLOADS + ("cli",)
+SECTIONS = WORKLOADS + ("cli", "programs")
 # a number in a repr, but not a digit inside a name such as c4 or float64
 _NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)(?![\w.])")
 
@@ -97,20 +101,75 @@ def cli_answers(workloads) -> dict:
     return out
 
 
+def outputs_sha256(program, inputs) -> str:
+    """sha256 of what program gives on each input: per component its type,
+    dtype, shape and bytes, or the error's type, message and index."""
+    import numpy as np
+
+    digest = hashlib.sha256()
+    for s in inputs:
+        try:
+            with np.errstate(all="ignore"):
+                out = program(s)
+        except Exception as exc:  # an answer like any other
+            digest.update(repr((type(exc).__name__, str(exc), getattr(exc, "index", None))).encode())
+            continue
+        for c in out:
+            digest.update(repr((type(c).__name__, np.asarray(c).dtype.str, np.shape(c))).encode())
+            digest.update(np.asarray(c).tobytes())
+    return digest.hexdigest()
+
+
+def program_answers(objects: dict) -> dict:
+    """{program: {"source sha256", "outputs sha256"}} of every tree's programs
+    and every pair's flux programs at orders 0-3, scalar and array, each built
+    afresh; objects maps each tree or pair to its name."""
+    import numpy as np
+    from fracflow import flux, jet, models
+
+    sources, maker = [], jet._maker
+    inputs = {True: [np.linspace(0.0, 1.0, 4099)[1:-1]], False: np.linspace(-0.25, 1.25, 13).tolist()}
+    out = {}
+    jet._maker = lambda src: sources.append(src) or maker(src)  # Tape.build compiles through jet._maker
+    try:
+        for obj, name in objects.items():
+            build = flux.pair_program if isinstance(obj, models.ModelPair) else models.ModelExpr.program
+            for order in range(4):
+                for array in (False, True):
+                    obj._programs.pop((order, array), None)
+                    program = build(obj, order, array)
+                    out[f"{name} order {order} {'array' if array else 'scalar'}"] = {
+                        "source sha256": hashlib.sha256(sources[-1].encode()).hexdigest(),
+                        "outputs sha256": outputs_sha256(program, inputs[array])}
+    finally:
+        jet._maker = maker
+    return out
+
+
 def collect(per_stratum: int | None = None) -> dict:
     """{section: {key: answer}} over every pool entry, or over the first
-    per_stratum entries of each stratum, and over the cli commands."""
+    per_stratum entries of each stratum, over the cli commands and over the
+    programs of the catalog's trees and of those entries' trees and pairs."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads  # imports fracflow, which diff does not need
+    from fracflow import models
 
-    out = {}
+    out, objects = {}, {m: f"tree {m}" for m in models.catalog().values()}
     for workload in WORKLOADS:
         out[workload] = {}
         for stratum, entries in workloads.load_pool(workload)["strata"].items():
             for index, entry in enumerate(entries[:per_stratum]):
                 key = f"{stratum}/{index}"
                 out[workload][key] = answer(workloads, workload, key, stratum, entry["input"])
+                obj = workloads.parse_input(workload, entry["input"])
+                pair = getattr(obj, "flux", obj)
+                if isinstance(pair, models.ModelPair):
+                    objects.update({pair: f"pair ({pair.m_a}, {pair.m_b})", pair.m_a: f"tree {pair.m_a}",
+                                    pair.m_b: f"tree {pair.m_b}"})
+                else:
+                    objects[pair] = f"tree {pair}"
     out["cli"] = cli_answers(workloads)
+    out["programs"] = program_answers(objects)
     return out
 
 

@@ -16,7 +16,8 @@ and riemann_fans pool tree of perfbench/ at orders 0-3, as scalar and as
 array programs, and for every analyze_sweep and riemann_fans pool pair's
 flux programs at orders 0-3 of both kinds, on the check grid, on an array
 across the ends of (0, 1) and at scalar points from it, and exits 1 on the
-first few mismatches it prints.
+first few mismatches it prints.  It also prints the time jet.Tape took to
+build the trees' and the pairs' programs, per kind (scalar and array).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import operator
 import re
 import sys
+import time
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -275,10 +277,14 @@ def _main() -> int:
     mismatches, compared = [], 0
     for what, objects, new, ref in (("tree", trees, lambda m, k, a: m.program(k, a), reference_program),
                                     ("pair", pairs, flux.pair_program, reference_pair_program)):
+        build = {False: 0.0, True: 0.0}  # seconds jet.Tape took per kind
         for obj in objects:
             for order in range(4):
                 for array in (False, True):
-                    got_fn, want_fn = new(obj, order, array), ref(obj, order, array)
+                    start = time.perf_counter()
+                    got_fn = new(obj, order, array)
+                    build[array] += time.perf_counter() - start
+                    want_fn = ref(obj, order, array)
                     for s in INPUTS:
                         if isinstance(s, np.ndarray) != array:
                             continue
@@ -287,7 +293,7 @@ def _main() -> int:
                         if got != want:
                             mismatches.append((what, str(obj), order, array, s if not array else len(s),
                                                str(got)[:200], str(want)[:200]))
-        print(f"{what}s: {len(objects)}")
+        print(f"{what}s: {len(objects)}, built in {build[False]:.3f} s scalar, {build[True]:.3f} s array")
     print(f"{compared} comparisons")
     for m in mismatches[:5]:
         print("MISMATCH", m)

@@ -1,7 +1,8 @@
 """The committed answer diff (tests/answers.py) on the first entry of each
-pool stratum and on the cli commands: a dump diffed with itself reports no
-change, and a moved number, a changed verdict, an error and a changed file
-are each found in a perturbed copy."""
+pool stratum, on the cli commands and on the programs of the catalog's and
+those entries' trees and pairs: a dump diffed with itself reports no change,
+and a moved number, a changed verdict, an error, a changed file and a
+changed program are each found in a perturbed copy."""
 
 import ast
 import copy
@@ -16,6 +17,7 @@ def test_answer_diff_finds_nothing_in_a_dump_and_each_change_in_a_perturbed_copy
         "analyze_sweep: 4 identical, 0 changed",
         "riemann_fans: 3 identical, 0 changed",
         "cli: 5 identical, 0 changed",
+        "programs: 240 identical, 0 changed",
     ]
     assert all(dump["cli"][name]["exit"] == "0" for name in ("check_s2", "analyze_ce3", "figures", "riemann"))
     assert dump["cli"]["check_ce1"]["exit"] == "1"
@@ -31,6 +33,8 @@ def test_answer_diff_finds_nothing_in_a_dump_and_each_change_in_a_perturbed_copy
     check = changed["cli"]["check_s2"]
     check["stdout"] = check["stdout"].replace("criterion_T3: -1536.0", "criterion_T3: -1536.0000000000002")
     changed["cli"]["riemann"]["profile.csv sha256"] = "0" * 64
+    program = changed["programs"]["tree s^2 order 3 array"]
+    program["source sha256"] = program["outputs sha256"] = "0" * 64
     lines = answers.compare(dump, changed)
     assert lines[0] == "check_sweep: 5 identical, 1 changed"
     assert lines[1] == "  c1: 1 changed in form, first at chierici/0"
@@ -41,7 +45,10 @@ def test_answer_diff_finds_nothing_in_a_dump_and_each_change_in_a_perturbed_copy
     assert lines[6:9] == ["cli: 3 identical, 2 changed",
                           "  stdout: 1 changed, largest move 2.27e-13 at check_s2, relative 1.48e-16 at check_s2",
                           "  profile.csv sha256: 1 changed in form, first at riemann"]
-    assert len(lines) == 9
+    assert lines[9:12] == ["programs: 239 identical, 1 changed",
+                           "  source sha256: 1 changed in form, first at tree s^2 order 3 array",
+                           "  outputs sha256: 1 changed in form, first at tree s^2 order 3 array"]
+    assert len(lines) == 12
     assert "  error vanishes at known/0: DomainError: float overflow" in answers.compare(changed, dump)
 
 

@@ -1,6 +1,7 @@
 """Compiled tree evaluation: order truncation, scalar vs array, mpmath oracle,
 and the hard inputs at the domain boundary."""
 
+import ast
 import collections
 import functools
 import itertools
@@ -158,10 +159,10 @@ def test_integer_power_programs_take_one_float_power(array):
     # s^1.1 likewise: one ** for it, then s^0.1 and s^-0.9 as quotients by s
     tape = jet.Tape(array)
     models._emit(tape, ff.parse(models.COUNTEREXAMPLES[2]), "s", 2)
-    powers = [line for line in tape.lines if "**" in line]
+    powers = [line for line in tape.lines if "**" in line[1]]
     assert len(powers) == 2  # s^1.1 and s^27
     # one operation per local: 25 in all, each rule row's products and sums counted apart
-    assert sum(" = " in line and not line.startswith("bad") for line in tape.lines) <= 25
+    assert sum(target is not None for target, *_ in tape.lines) <= 25
 
 
 @pytest.mark.parametrize("array", [False, True])
@@ -173,7 +174,7 @@ def test_each_power_node_runs_one_float_power(p, order, array):
     tape = jet.Tape(array)
     tape.pow(tuple(f"a{j}" for j in range(order + 1)), p)
     want = 0 if order and p == round(p) and abs(p) <= 3 else 1
-    assert sum("**" in line for line in tape.lines) == want
+    assert sum("**" in fmt for _, fmt, *_ in tape.lines) == want
 
 
 @pytest.mark.parametrize("M,want", [(1.0, 0), (1.5, 1)])
@@ -181,7 +182,7 @@ def test_chierici_array_program_powers(M, want):
     # a1 = -1/s^2 of (1-s)/s is negative: a1^3 in the chain rule is products
     tape = jet.Tape(True)
     models._emit(tape, ff.chierici(1.0, 3.0, M), "s", 3)
-    assert sum("**" in line for line in tape.lines) == want
+    assert sum("**" in fmt for _, fmt, *_ in tape.lines) == want
 
 
 def _mp_power_jet(base, p, s):
@@ -386,6 +387,12 @@ def test_array_programs_allocate_only_returned_known_components(text, counts, mo
     jet._maker.cache_clear()
 
 
+def _text(tape: jet.Tape) -> list[str]:
+    """Every line of tape as source, as it reads out of place."""
+    return [fmt.format(*names) if target is None else f"{target} = {fmt.format(*names)}"
+            for target, fmt, *names in tape.lines]
+
+
 # a binary operation with a literal operand that folding removes
 IDENTITY_OP = re.compile(r"[*/] 1\.0\b|\b1\.0 \*|[-+*] 0\.0\b|\b0\.0 [-+*]")
 
@@ -397,7 +404,7 @@ def test_counterexample_programs_emit_no_identity_operations(text):
         for array in (False, True):
             tape = jet.Tape(array)
             models._emit(tape, m, "s", order)
-            assert not [line for line in tape.lines if IDENTITY_OP.search(line)], (order, array)
+            assert not [line for line in _text(tape) if IDENTITY_OP.search(line)], (order, array)
     assert IDENTITY_OP.search("v3 = v1 * 1.0") and IDENTITY_OP.search("v3 = 0.0 - v1")
     assert not IDENTITY_OP.search("if s <= 0.0: raise DomainError(k0)")
 
@@ -646,7 +653,7 @@ def test_dropping_dead_locals_changes_no_bit(m, monkeypatch):
     pruned = outputs()
     jet._maker.cache_clear()
     # every line, no del, nothing updated in place
-    monkeypatch.setattr(jet.Tape, "_live", lambda tape, result, inplace: tape.lines)
+    monkeypatch.setattr(jet.Tape, "_live", lambda tape, result, inplace: _text(tape))
     try:
         assert outputs() == pruned
     finally:
@@ -690,6 +697,54 @@ def test_a_local_that_may_hold_integers_is_not_updated_in_place():
         assert [c.tolist() for c in ff.parse("(s + s)*2.5").taylor(s, order)] == [
             [5.0, 10.0, 15.0], [5.0] * 3, [0.0] * 3, [0.0] * 3][:order + 1]
     assert ff.parse("(s*s - s)*0.5").taylor(s, 0)[0].tolist() == [0.0, 1.0, 3.0]
+
+
+def _array_source(m, order: int) -> str:
+    """The source of m's array program at order, as Tape.build compiles it."""
+    sources = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jet, "_maker", lambda src: sources.append(src) or (lambda *consts: None))
+        tape = jet.Tape(True)
+        tape.build(["s"], models._emit(tape, m, "s", order))
+    return sources[0]
+
+
+def _assert_locals_die_at_their_last_read(src: str) -> None:
+    """Liveness, read from the syntax tree of an array program's source: no
+    local is read after its del, each local that is not returned is deleted
+    in the statement right after its last read, and at the return only the
+    returned locals are alive."""
+    def local_names(node, ctx) -> set:
+        return {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ctx) and re.fullmatch(r"v\d+", n.id)}
+
+    *body, ret = ast.parse(src).body[0].body[0].body[0].body  # make -> run -> try
+    returned = local_names(ret, ast.Load)
+    written, deleted, last_read = set(), set(), {}
+    for i, stmt in enumerate(body):
+        reads = local_names(stmt, ast.Load) | (local_names(stmt, ast.Store) if isinstance(stmt, ast.AugAssign) else set())
+        assert not reads & deleted, (sorted(reads & deleted), i, src)
+        last_read.update(dict.fromkeys(reads, i))
+        written |= local_names(stmt, ast.Store)
+        deleted |= local_names(stmt, ast.Del)
+    assert not returned & deleted, src
+    for name, i in last_read.items():
+        if name not in returned:
+            assert i + 1 < len(body) and name in local_names(body[i + 1], ast.Del), (name, i, src)
+    assert written - deleted <= returned, (sorted(written - deleted - returned), src)
+
+
+@pytest.mark.parametrize("name,m", list(ff.catalog().items()))
+def test_catalog_array_programs_delete_each_local_after_its_last_read(name, m):
+    for order in range(4):
+        _assert_locals_die_at_their_last_read(_array_source(m, order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trees(leaves=st.sampled_from(CONSTANT_SUBTREES)))
+def test_drawn_array_programs_delete_each_local_after_its_last_read(m):
+    for order in range(4):
+        _assert_locals_die_at_their_last_read(_array_source(m, order))
 
 
 def _outcome(fn, s):
