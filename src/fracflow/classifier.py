@@ -21,10 +21,8 @@ symmetry points and where very small mobilities underflow (for example the
 exponential preset near s = 0).  ZERO_TOL is the grid tests' one threshold.
 One reduction decides a condition whose samples all pass by at least
 ZERO_TOL; only a failing or undecided one builds masks, for its witnesses,
-which take their s and values from one gather at their indices.  Likewise a
-finite sum shows every value of an array finite, and only a sum that is not
-(or overflows) runs the scan for the first non-finite value.  The grid is
-built once per (grid_n, eps, min_n) and shared read-only (clipped_grid).
+which take their s and values from one gather at their indices.  The grid
+is built once per (grid_n, eps, min_n) and shared read-only (clipped_grid).
 """
 
 from __future__ import annotations
@@ -114,10 +112,8 @@ def check_conditions(m: ModelExpr, grid_n: int = 4096, eps: float = 1e-6) -> Con
     grid point where one is not finite.
     """
     s = clipped_grid(grid_n, eps)
-    # an overflowed value decides nothing: fail at the first grid point where
-    # a condition value is not finite; a finite sum shows that none is
-    with np.errstate(over="ignore", invalid="ignore"):  # the jet, a numerator or a sum may overflow
-        j = m.eval_jet(s)
+    j = m.eval_jet(s)
+    with np.errstate(over="ignore", invalid="ignore"):  # a numerator may overflow
         conditions = (
             ("c1", j.f0, True),
             ("c2", j.f1, True),
@@ -125,12 +121,10 @@ def check_conditions(m: ModelExpr, grid_n: int = 4096, eps: float = 1e-6) -> Con
             ("c4", _RATIOS["m2/m1"][0](j), False),
             ("c4star_extra", _RATIOS["m1/m"][0](j), False),
         )
-        total = sum(np.add.reduce(values) for _, values, _ in conditions)
-    if not math.isfinite(total):
-        finite = np.isfinite([values for _, values, _ in conditions])
-        if not finite.all():
-            name, values, _ = conditions[int(finite[:, finite.all(axis=0).argmin()].argmin())]
-            _require_finite(s, values, f"{name} value")
+    finite = np.isfinite([values for _, values, _ in conditions])
+    if not finite.all():
+        name, values, _ = conditions[int(finite[:, finite.all(axis=0).argmin()].argmin())]
+        _require_finite(s, values, f"{name} value")
     verdicts: dict[str, str] = {}
     witnesses: list[Witness] = []
     for name, values, want_positive in conditions:
@@ -198,7 +192,8 @@ def monotonicity_change_of_ratio(
     j = m.eval_jet(s)
     if not np.all(np.asarray(denominator(j), dtype=float) > 0.0):
         raise ValueError(f"ratio {which} denominator is not positive on the clipped grid")
-    g = np.asarray(numerator(j), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # sign_changes rejects a numerator that overflows
+        g = np.asarray(numerator(j), dtype=float)
 
     func = lambda t: float(numerator(m.eval_jet(t)))
     return [root for root, _ in sign_changes(s, g, func, tol)]
@@ -251,11 +246,10 @@ def sign_changes(s, values, func, tol):
 
 def _require_finite(s, values, what: str) -> None:
     """Raise DomainError at the first non-finite entry of values sampled at s."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow
-        finite = math.isfinite(np.add.reduce(values, axis=None))
-    bad = [] if finite else np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        raise DomainError(f"non-finite {what} at {point(s, int(bad[0]))}", int(bad[0]))
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise DomainError(f"non-finite {what} at {point(s, i)}", i)
 
 
 def _bisect_sign_change(func, lo, hi, tol, f_lo, f_hi):

@@ -228,9 +228,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
-        # overflow surfaces as a DomainError on the non-finite value, not as
-        # numpy warnings on the way there; library warnings print as one line each
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), warnings.catch_warnings():
+        # library warnings print as one line each
+        with warnings.catch_warnings():
             warnings.simplefilter("always", UserWarning)
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.func(args)

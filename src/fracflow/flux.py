@@ -71,8 +71,9 @@ def pair_program(pair: ModelPair, order: int = 1, array: bool = False):
 
 
 def _flux_jets(pair: ModelPair, s: Real, order: int) -> tuple:
-    """The jets of f and m_a at s and of m_b at 1 - s, to `order`.  A DomainError
-    names the failing tree (from the trees' own programs) or the flux rule, and the point."""
+    """The jets of f and m_a at s (a numpy scalar taken as a float) and of m_b at 1 - s, to
+    `order`.  A DomainError names the failing tree (its own program's) or the flux rule, and the point."""
+    s = float(s) if isinstance(s, np.generic) else s
     try:
         out = pair_program(pair, order, isinstance(s, np.ndarray))(s)
     except DomainError as exc:
@@ -116,6 +117,7 @@ def f_value(pair: ModelPair, s: Real) -> Real:
     return f_taylor(pair, s, 0)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an overflow gives inf or nan
 def f2_closed(pair: ModelPair, s: Real) -> Real:
     """Second derivative of f from the closed form (cross-check of f_jet)."""
     ja = pair.m_a.eval_jet(s)
@@ -141,7 +143,9 @@ def _first_root(pair: ModelPair, label: str, s, a: tuple, b: tuple, tol: float) 
     jets a, b, refined to tol on scalar jets of their order; a warning names
     any further ones."""
     g, order = _NUMERATORS[label], len(a) - 1
-    roots = sign_changes(s, g(a, b), lambda t: float(g(*_flux_jets(pair, t, order)[1:])), tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # sign_changes rejects a numerator that overflows
+        values = g(a, b)
+    roots = sign_changes(s, values, lambda t: float(g(*_flux_jets(pair, t, order)[1:])), tol)
     if len(roots) > 1:
         warnings.warn(f"{label} has {len(roots)} sign changes; reporting the first", stacklevel=3)
     return roots[0][0] if roots else None

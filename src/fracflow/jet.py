@@ -104,6 +104,7 @@ _UNIT = ("1.0", "0.0", "0.0", "0.0")  # the jet of 1
 _INPLACE = {f"{{}} {op} {{}}": op for op in ("+", "-", "*", "/", "**")}  # formats a local can take as `x op= y`
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
         "**": operator.pow, "==": operator.eq, "<": operator.lt, "<=": operator.le}
+_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")  # wraps array programs of s (Tape)
 
 
 @lru_cache(maxsize=256)
@@ -149,6 +150,10 @@ class Tape:
     A line is a tuple (target, format, *operands): the local it assigns or
     None for a domain check, and its text with a {} per name it reads, as
     ("v5", "{} * {}", "v3", "s"); `build` renders only the lines it keeps.
+
+    An array program of s alone (a tree's or a pair's) runs under _QUIET, so
+    it never warns; a Jet3 rule's, of several parameters, runs in its
+    caller's np.errstate, so numpy's flags can still be read through it.
     """
 
     def __init__(self, array: bool):
@@ -203,7 +208,8 @@ class Tape:
             "            raise DomainError('float overflow') from None\n"
             "    return run\n"
         )
-        return _maker(src)(*self.consts)
+        run = _maker(src)(*self.consts)
+        return _QUIET(run) if self.array and len(params) == 1 else run
 
     def _live(self, result: Names, inplace: bool) -> list[str]:
         """The source of the lines that the result or a domain check reads, in

@@ -67,8 +67,9 @@ class ModelExpr(_Compiled):
 
         Order 0 is the plain value, which also allows a zero base under a
         positive non-integer power; orders 1-3 are the first components of
-        the order-3 jet, bit for bit.
+        the order-3 jet, bit for bit.  A numpy scalar s runs as a Python float.
         """
+        s = float(s) if isinstance(s, np.generic) else s
         key = (order, isinstance(s, np.ndarray))
         fn = self._programs.get(key) or self.program(*key)
         try:

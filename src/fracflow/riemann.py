@@ -12,16 +12,8 @@ of it (so every edge joining adjacent samples) is "contact", any other edge
 is a chord whose tangency points are then refined against the exact
 derivative, since sampling alone misclassifies near-tangential contact.
 The test reads the samples the hull was built from, all edges in one array
-pass; each run of adjacent contact edges becomes one arc.  The chain
-(Andrew, Inf. Proc. Lett. 9, 1979) visits only the samples whose cross
-product with their two neighbours is >= 0; any other lies above its
-neighbours' chord.  Through a run of neighbours whose cross products are > 0
-the chain appends the run untested.  A streak of samples that each pop only
-the one before them (a convex run under a chord), and a pop back through a
-block of consecutive vertices, go to numpy once they are long, with the
-chain's own cross products.  The hull is the plain chain's over every
-sample up to vertices collinear with their hull neighbours within rounding,
-which the skipped tests may keep where the plain chain pops them.
+pass; each run of adjacent contact edges becomes one arc.  The hull is
+Andrew's monotone chain (Inf. Proc. Lett. 9, 1979; see _lower_hull_indices).
 
 Both curve kinds share one deriv: a scalar straight-line program for f and
 f', or f, f' and f'' (flux.pair_program for a pair, the tree's own program
@@ -168,13 +160,16 @@ class WaveFan:
 
 def _lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Lower hull of the points (xs[i], ys[i]), xs ascending, by the monotone
-    chain over the samples the module docstring names.  Where the top two
+    chain over the samples whose cross product with their two neighbours is
+    >= 0 (any other lies above its neighbours' chord).  Where the top two
     vertices are neighbours, the chain's test of the next sample is the top
     vertex's own cross product, same operands and formula, so a run of
-    neighbours with cross products > 0 is appended untested.  A streak, or a
-    pop back through consecutive vertices, that outlasts _LONG chain steps
-    is tested in numpy with the chain's operands and formula.  The result is
-    the plain chain's up to vertices collinear within rounding.
+    neighbours with cross products > 0 is appended untested.  A streak of
+    samples that each pop only the one before (a convex run under a chord),
+    or a pop back through consecutive vertices, that outlasts _LONG chain
+    steps is tested in numpy with the chain's operands and formula.  The
+    result is the plain chain's up to vertices collinear within rounding,
+    which it may keep where the plain chain pops them.
     """
     x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
     y0, y1, y2 = ys[:-2], ys[1:-1], ys[2:]

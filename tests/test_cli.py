@@ -10,6 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fracflow.cli import main
 
@@ -435,3 +436,37 @@ def test_riemann_scalar_exp_overflow_exits_two(states, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert err.startswith("error: float overflow while evaluating exp(1000*s) at s=")
     assert err.count("\n") == 1
+
+
+# constants from 1e-300 to ~1e301 and exponents up to +-300, as model text
+_CONSTANTS = st.tuples(st.floats(1.0, 9.75), st.integers(-300, 300)).map(lambda t: repr(t[0] * 10.0 ** t[1]))
+_EXPONENTS = st.one_of(st.integers(-300, 300), st.floats(-300.0, 300.0).map(lambda p: round(p, 3)))
+
+
+def _model_texts(depth: int):
+    """Model text of an expression tree of at most `depth` levels above its leaves."""
+    leaf = st.one_of(st.just("s"), _CONSTANTS)
+    if depth == 0:
+        return leaf
+    sub = _model_texts(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        st.tuples(sub, _EXPONENTS).map(lambda t: f"({t[0]})^{t[1]!r}"),
+        sub.map(lambda t: f"exp({t})"),
+    )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_model_texts(3), _model_texts(3), st.sampled_from(["0", "0.2", "0.9", "1"]),
+       st.sampled_from(["0", "0.2", "0.9", "1"]))
+def test_extreme_models_give_an_exit_code_and_only_error_or_warning_lines(capsys, m_a, m_b, s_left, s_right):
+    # no np.errstate masks the commands: a numpy RuntimeWarning, which is an
+    # error here, or any other exception escaping main fails the test
+    for argv in (("check", "--grid", "100", m_a), ("analyze", "--grid", "1000", m_a, m_b),
+                 ("riemann", m_a, m_b, s_left, s_right)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert all(line.startswith(("error:", "warning:")) for line in err.splitlines()), (argv, err)

@@ -218,11 +218,11 @@ def test_noninteger_powers_match_mpmath(base):
 def test_scalar_power_overflow_is_a_domain_error_at_the_point():
     m = ff.parse("(1000*s)^201")
     for order in range(4):
-        with pytest.raises(ff.DomainError, match=r"^float overflow while evaluating "
-                                                 r"\(1000\*s\)\^201 at s=0\.8$"):
-            m.taylor(0.8, order)
-        with np.errstate(over="ignore"):  # numpy's power overflows to inf
-            assert np.isinf(m.taylor(np.array([0.8]), order)[0]).all()
+        for s in (0.8, np.float64(0.8)):  # a numpy scalar runs as a float
+            with pytest.raises(ff.DomainError, match=r"^float overflow while evaluating "
+                                                     r"\(1000\*s\)\^201 at s=0\.8$"):
+                m.taylor(s, order)
+        assert np.isinf(m.taylor(np.array([0.8]), order)[0]).all()  # numpy's power overflows to inf
 
 
 def test_scalar_exp_overflow_is_a_domain_error_at_the_point():
@@ -251,8 +251,9 @@ def _scalar_results(m_a, m_b):
 
 @pytest.mark.parametrize("name,m", TREES)
 def test_scalar_programs_compute_in_plain_floats(name, m):
-    # a numpy scalar (np.exp's np.float64) would turn every later operation into numpy arithmetic
-    for s in POINTS[::20].tolist():
+    # a numpy scalar (np.exp's np.float64) would turn every later operation
+    # into numpy arithmetic; a numpy scalar s runs as a float
+    for s in (*POINTS[::20].tolist(), *POINTS[::20]):
         assert all(_plain_floats(fn, s) for fn in _scalar_results(m, m)), name
 
 
@@ -279,8 +280,9 @@ def test_pair_flux_derivative_falls_back_to_clipped_point():
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_division_by_zero_raises_in_both_paths(order):
     m = ff.parse("1/(s - 0.5)")
-    with pytest.raises(ff.DomainError, match=r"at s=0\.5$"):
-        m.taylor(0.5, order)
+    for s in (0.5, np.float64(0.5)):
+        with pytest.raises(ff.DomainError, match=r"at s=0\.5$"):
+            m.taylor(s, order)
     with pytest.raises(ff.DomainError, match=r"at s\[2\]=0\.5$") as info:
         m.taylor(np.linspace(0.0, 1.0, 5), order)
     assert info.value.index == 2

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -165,10 +166,12 @@ WIGGLY = ff.ModelPair(ff.parse("s^4 - 2*s^3 + 1.32*s^2 - 0.32*s"), ff.parse("1")
 
 
 def _recorded(fn, *args, **kwargs):
-    """fn's result and the messages of the warnings it raised."""
+    """fn's result and the messages of the warnings it raised, each of which
+    names the line that called fn."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = fn(*args, **kwargs)
+    assert all(w.filename == __file__ for w in caught), [w.filename for w in caught]
     return result, [str(w.message) for w in caught]
 
 
@@ -413,7 +416,8 @@ def test_zero_pair_fails_on_a_float_and_returns_empty_arrays_on_an_empty_s():
     # m_a(s) + m_b(1 - s) = 0.5 - s
     ("s - 0.5", "2*(s - 0.5)", 0.5, "zero total mobility at s=0.5", None),
     ("s - 0.5", "2*(s - 0.5)", np.array([0.25, 0.5, 0.5]), "zero total mobility at s[1]=0.5", 1),
-], ids=["m_a", "m_a-array", "m_b", "m_b-array", "total", "total-array"])
+    ("s - 0.5", "2*(s - 0.5)", np.float64(0.5), "zero total mobility at s=0.5", None),  # runs as a float
+], ids=["m_a", "m_a-array", "m_b", "m_b-array", "total", "total-array", "total-numpy-scalar"])
 @pytest.mark.parametrize("order", range(4))
 def test_pair_errors_name_the_failing_tree_and_point(m_a, m_b, s, message, index, order):
     pair = ff.ModelPair(ff.parse(m_a), ff.parse(m_b))
@@ -435,3 +439,36 @@ def test_pair_analyses_and_fans_compile_no_tree_program():
     for pair in (analysed, corey):
         assert pair._programs
         assert not pair.m_a.__dict__.get("_programs") and not pair.m_b.__dict__.get("_programs")
+
+
+# mobilities whose float64 values overflow: a power, an exp, a product with
+# an exp and a large constant (its squares overflow)
+_OVERFLOWING = ("(1000*s)^201", "exp(1000*s)", "s^2*exp(800*s)", "1e200*s^2")
+
+
+def _library_calls(pair: ff.ModelPair) -> list:
+    """Every library function that evaluates the pair, or its m_a, on an array, as a call."""
+    m, s = pair.m_a, np.linspace(0.0, 1.0, 101)
+    calls = [partial(m.taylor, s, k) for k in range(4)] + [partial(f_taylor, pair, s, k) for k in range(4)]
+    calls += [partial(m.eval_jet, s), partial(f_value, pair, s), partial(f2_closed, pair, s),
+              partial(ff.check_conditions, m), partial(inflection_points, pair), partial(find_s1, pair),
+              partial(find_s2, pair)]
+    calls += [partial(ff.monotonicity_change_of_ratio, m, which) for which in ("m2/m", "m2/m1", "m1/m")]
+    for states in ((0.2, 0.0), (0.0, 0.2), (0.2, 0.9), (0.9, 0.2)):
+        calls += [partial(ff.riemann.envelope, pair, *states),
+                  partial(ff.riemann.solve, ff.riemann.RiemannProblem(*states, pair))]
+    return calls
+
+
+@pytest.mark.parametrize("m_a, m_b", [(text, text) for text in _OVERFLOWING]
+                         + [("(1000*s)^201", "s^2"), ("s^2", "(1000*s)^201")])
+def test_overflowing_mobilities_raise_only_domain_or_value_errors(m_a, m_b):
+    # an overflow ends a call in a DomainError on the non-finite value (or a
+    # ValueError), with no numpy RuntimeWarning on the way, also outside the CLI
+    for call in _library_calls(ff.ModelPair(ff.parse(m_a), ff.parse(m_b))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                call()
+            except (ff.DomainError, ValueError):
+                pass
