@@ -10,10 +10,11 @@ through the sign-alternating reflection.  The closed forms
 (all m_b symbols taken at 1-s, m = m_a + m_b, m' the true s-derivative)
 are provided as an independent cross-check of the jet route.
 
-Every f here comes from pair_program, one program per pair, order and input
-kind, which also returns the jets of m_a and m_b.  An analysis runs it once
-on its grid for f'' and the numerators of s1 (m_a' - m_b') and s2 (h'),
-whose sign changes are taken on that grid and refined to the analysis's tol.
+Every f here comes from the pair's own programs (ModelPair.taylor), one per
+order and input kind, which also return the jets of m_a and m_b.  An
+analysis runs one once on its grid for f'' and the numerators of s1
+(m_a' - m_b') and s2 (h'), whose sign changes are taken on that grid and
+refined to the analysis's tol.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .jet import DomainError, Jet3, Real, Tape, point
+from .jet import DomainError, Jet3, Real, point
 from .jet import add, div, reflect  # noqa: F401  (perfbench/spans.py counts these here)
-from .models import ModelPair, _emit
+from .models import ModelPair
 from .classifier import ZERO_TOL, clipped_grid, sign_changes
 
 DEFAULT_GRID_N = 8192
@@ -52,41 +53,15 @@ class FluxAnalysis:
     tol: float = 1e-12
 
 
-def _flux_rule(tape: Tape, a, b):
-    """f = a / (a + reflect(b)) from the jets a of m_a at s and b of m_b at 1-s."""
-    return tape.div(a, tape.add(a, tape.reflect(b)), "zero total mobility")
-
-
-def pair_program(pair: ModelPair, order: int = 1, array: bool = False):
-    """f and its first `order` derivatives at s, then the jets of m_a at s and of m_b
-    at a local 1 - s: one program per order and input kind, cached on the pair, whose
-    flux rule folds none of their components and whose DomainError names no point."""
-    key = (order, array)
-    if key not in pair._programs:
-        tape = Tape(array)
-        a = tape.opaque(_emit(tape, pair.m_a, "s", order), "s")
-        b = tape.opaque(_emit(tape, pair.m_b, tape.sub(tape.constant(1.0, 0), tape.seed("s", 0))[0], order), "s")
-        pair._programs[key] = tape.build(["s"], _flux_rule(tape, a, b) + a + b)
-    return pair._programs[key]
-
-
 def _flux_jets(pair: ModelPair, s: Real, order: int) -> tuple:
-    """The jets of f and m_a at s (a numpy scalar taken as a float) and of m_b at 1 - s, to
-    `order`.  A DomainError names the failing tree (its own program's) or the flux rule, and the point."""
-    s = float(s) if isinstance(s, np.generic) else s
-    try:
-        out = pair_program(pair, order, isinstance(s, np.ndarray))(s)
-    except DomainError as exc:
-        pair.m_a.taylor(s, order)
-        pair.m_b.taylor(1.0 - s, order)
-        raise DomainError(f"{exc} at {point(s, exc.index)}", exc.index) from None
-    n = order + 1
+    """The jets of f and m_a at s and of m_b at 1 - s, to `order` (see ModelPair)."""
+    out, n = pair.taylor(s, order), order + 1
     return out[:n], out[n:2 * n], out[2 * n:]
 
 
 def f_taylor(pair: ModelPair, s: Real, order: int = 3) -> tuple:
     """f and its first `order` derivatives at s (scalar or array in (0,1))."""
-    return _flux_jets(pair, s, order)[0]
+    return pair.taylor(s, order)[:order + 1]
 
 
 def f_jet(pair: ModelPair, s: Real) -> Jet3:
@@ -128,7 +103,10 @@ def f2_closed(pair: ModelPair, s: Real) -> Real:
     m1 = ja.f1 - jb.f1
     h = ja.f1 * jb.f0 + ja.f0 * jb.f1
     h1 = ja.f2 * jb.f0 - ja.f0 * jb.f2
-    return (h1 * m - 2.0 * m1 * h) / m ** 3
+    try:
+        return (h1 * m - 2.0 * m1 * h) / m ** 3
+    except OverflowError:  # a float m ** 3; an array's is inf
+        raise DomainError(f"float overflow at s={s!r}") from None
 
 
 # the numerators of s1 and s2 from the jets a of m_a at s and b of m_b at 1-s

@@ -123,14 +123,14 @@ class Tape:
 
     With array=False the program runs on plain floats, with math.exp, and
     domain checks are float comparisons.  With array=True components are
-    numpy arrays (or anything np.asarray takes) and a failed check reports
-    the flat index of the first failing element.  The rules take jets as tuples of component
-    names and return the names of their result; the order is the length of
-    the tuples minus one.  Components known as they are emitted (`known`:
-    seeds' 1 and 0s, constants, and what rules make of those) fold: x*1,
-    x/1, x+0 and x-0 are x, x*0 is 0, 0-x is -x, known operands compute here
-    in the program's own arithmetic, and the rest keeps its order, so only
-    zeros differ from the unfolded program (+0.0 for -0.0, 0 for 0*inf).
+    numpy arrays and a failed check reports the flat index of the first
+    failing element.  The rules take jets as tuples of component names and
+    return the names of their result; the order is the length of the tuples
+    minus one.  Components known as they are emitted (`known`: seeds' 1 and
+    0s, constants, and what rules make of those) fold: x*1, x/1, x+0 and x-0
+    are x, x*0 is 0, 0-x is -x, known operands compute here in the program's
+    own arithmetic, and the rest keeps its order, so only zeros differ from
+    the unfolded program (+0.0 for -0.0, 0 for 0*inf).
     A built program runs no assignment that neither its result nor a domain
     check reads, so a float `**` that would raise OverflowError there (as in
     0*(1000*s)^200.5) no longer raises.

@@ -43,7 +43,9 @@ class ParseError(ValueError):
 
 
 class _Compiled:
-    """Straight-line programs (see jet.Tape) cached on the instance."""
+    """Straight-line programs (see jet.Tape) of s, one per derivative order and
+    input kind, cached on the instance; a subclass states what a program
+    returns (_emit) and how a failure is named (_where)."""
 
     @cached_property
     def _programs(self) -> dict:
@@ -53,22 +55,18 @@ class _Compiled:
         # programs are rebuilt on first use; they cannot be pickled
         return {k: v for k, v in self.__dict__.items() if k != "_programs"}
 
-
-class ModelExpr(_Compiled):
-    """Base class for mobility-expression nodes.
-
-    A tree is compiled on first use into straight-line programs, one per
-    derivative order and per scalar or array input, and each program is
-    cached on the node it was compiled for.
-    """
+    def program(self, order: int, array: bool):
+        """The program taylor runs: a function of s returning the components,
+        whose DomainError names neither the instance nor the point."""
+        key = (order, array)
+        if key not in self._programs:
+            tape = Tape(array)
+            self._programs[key] = tape.build(["s"], self._emit(tape, order))
+        return self._programs[key]
 
     def taylor(self, s: Real, order: int = 3) -> tuple:
-        """Value and first `order` derivatives at s (scalar or array), order 0..3.
-
-        Order 0 is the plain value, which also allows a zero base under a
-        positive non-integer power; orders 1-3 are the first components of
-        the order-3 jet, bit for bit.  A numpy scalar s runs as a Python float.
-        """
+        """The order's program (0..3) at s, scalar or array; a numpy scalar s
+        runs as a Python float, and a DomainError names what failed and where."""
         s = float(s) if isinstance(s, np.generic) else s
         key = (order, isinstance(s, np.ndarray))
         fn = self._programs.get(key) or self.program(*key)
@@ -76,7 +74,23 @@ class ModelExpr(_Compiled):
             return fn(s)
         except DomainError as exc:
             index = exc.index if np.size(s) else None  # an empty s has no failing element
-            raise DomainError(f"{exc} while evaluating {self} at {point(s, index)}", index) from None
+            raise DomainError(f"{exc}{self._where(s, order)} at {point(s, index)}", index) from None
+
+
+class ModelExpr(_Compiled):
+    """Base class for mobility-expression nodes.
+
+    A tree's programs return its value and first `order` derivatives.
+    Order 0 is the plain value, which also allows a zero base under a
+    positive non-integer power; orders 1-3 are the first components of the
+    order-3 jet, bit for bit.
+    """
+
+    def _emit(self, tape: Tape, order: int):
+        return _emit(tape, self, "s", order)
+
+    def _where(self, s: Real, order: int) -> str:
+        return f" while evaluating {self}"
 
     def eval_jet(self, s: Real) -> Jet3:
         """Value and first three derivatives at s (scalar or array)."""
@@ -85,15 +99,6 @@ class ModelExpr(_Compiled):
     def eval(self, s: Real) -> Real:
         """Value only; cheaper than eval_jet for plain sampling."""
         return self.taylor(s, 0)[0]
-
-    def program(self, order: int, array: bool):
-        """The program taylor runs: a function of s returning the components,
-        whose DomainError does not name the tree or the point."""
-        key = (order, array)
-        if key not in self._programs:
-            tape = Tape(array)
-            self._programs[key] = tape.build(["s"], _emit(tape, self, "s", order))
-        return self._programs[key]
 
     def __str__(self) -> str:
         return _print(self, _PREC_SUM)
@@ -163,14 +168,26 @@ def _emit(tape: Tape, e: ModelExpr, s: str, order: int):
 class ModelPair(_Compiled):
     """Mobilities of the two phases.
 
-    m_a is evaluated at s, m_b at 1 - s; the reflection is applied by the
-    flux module, never baked into the stored expressions.  Its flux programs
-    (flux.pair_program) are cached on the pair; they inline both trees, whose
-    own programs are compiled only to name a failing tree in an error.
+    m_a is evaluated at s and m_b at 1 - s; the stored expressions never bake
+    in the reflection.  A program returns the jet of f = m_a/(m_a + m_b(1-s)),
+    then those of m_a and m_b; it inlines both trees, whose own programs are
+    compiled only to name a failing tree in an error.
     """
 
     m_a: ModelExpr
     m_b: ModelExpr
+
+    def _emit(self, tape: Tape, order: int):
+        # both jets opaque, so that the flux rule folds none of their components
+        a = tape.opaque(_emit(tape, self.m_a, "s", order), "s")
+        b = tape.opaque(_emit(tape, self.m_b, tape.sub(tape.constant(1.0, 0), tape.seed("s", 0))[0], order), "s")
+        return tape.div(a, tape.add(a, tape.reflect(b)), "zero total mobility") + a + b
+
+    def _where(self, s: Real, order: int) -> str:
+        # a failing tree raises its own error; else the flux rule failed
+        self.m_a.taylor(s, order)
+        self.m_b.taylor(1.0 - s, order)
+        return ""
 
 
 # ---------------------------------------------------------------------------

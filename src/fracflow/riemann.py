@@ -15,11 +15,11 @@ The test reads the samples the hull was built from, all edges in one array
 pass; each run of adjacent contact edges becomes one arc.  The hull is
 Andrew's monotone chain (Inf. Proc. Lett. 9, 1979; see _lower_hull_indices).
 
-Both curve kinds share one deriv: a scalar straight-line program for f and
-f', or f, f' and f'' (flux.pair_program for a pair, the tree's own program
-for an expression), with f_taylor or taylor at a clipped point for the
-points outside the program's domain.  A curve's value is f_value for a pair
-and eval for an expression, which take arrays and the exact ends.
+Both curve kinds share one deriv: the scalar program of order 1 or 2 of
+their model (ModelPair.program for a pair, ModelExpr.program for an
+expression), with the model's taylor at a clipped point for the points
+outside the program's domain.  A curve's value is f_value for a pair and
+eval for an expression, which take arrays and the exact ends.
 One walk over the chords refines each and tiles [a, b]: the run of contact
 edges before a chord is an arc ending at the chord's refined lo; a chord
 ends at its refined hi or, where the next chord shares its hull vertex, at
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -51,7 +51,7 @@ import numpy as np
 from .jet import DomainError
 from .models import ModelExpr, ModelPair
 from .classifier import _require_finite, _bisect_sign_change as _bisect  # perfbench/spans.py times _bisect
-from .flux import f_jet, f_taylor, f_value, pair_program  # noqa: F401  (perfbench/spans.py wraps f_jet here)
+from .flux import f_jet, f_value  # noqa: F401  (perfbench/spans.py wraps f_jet here)
 
 DEFAULT_SAMPLES = 4096
 # tangency refinement: the construction needs at least 1e-10; this is
@@ -63,19 +63,19 @@ _LONG = 8  # chain steps of one pattern before _lower_hull_indices hands it to n
 
 
 class _Curve:
-    """f' (order 1), or f' and f'' (order 2), from _program(order), compiled
-    on first use (for a pair, its flux program, which returns the trees' jets
-    after f's), else from _taylor at s clipped into [_CLIP, 1 - _CLIP].
+    """f' (order 1), or f' and f'' (order 2), from the scalar program of the
+    curve's model (a pair or a tree), compiled on first use, else from the
+    model's taylor at s clipped into [_CLIP, 1 - _CLIP].
     perfbench/spans.py wraps deriv on each subclass: neither subclasses the other."""
 
-    _df = cached_property(lambda self: self._program(1))
-    _d2f = cached_property(lambda self: self._program(2))
+    _df = cached_property(lambda self: self._model.program(1, False))
+    _d2f = cached_property(lambda self: self._model.program(2, False))
 
     def deriv(self, s: float, order: int = 1):
         try:
             out = (self._df if order == 1 else self._d2f)(s)
         except DomainError:
-            out = self._taylor(min(max(s, _CLIP), 1.0 - _CLIP), order)
+            out = self._model.taylor(min(max(s, _CLIP), 1.0 - _CLIP), order)
         return float(out[1]) if order == 1 else (float(out[1]), float(out[2]))
 
 
@@ -83,19 +83,16 @@ class PairFlux(_Curve):
     """Flux curve f = m_a/(m_a + m_b(1-s)) of a mobility pair."""
 
     def __init__(self, pair: ModelPair):
-        self.pair = pair
+        self.pair = self._model = pair
         self.value = lambda s: f_value(pair, s)  # looked up per call: perfbench/spans.py counts it
-        self._taylor = partial(f_taylor, pair)
-        self._program = partial(pair_program, pair)
 
 
 class ExprFlux(_Curve):
     """An arbitrary expression in s used directly as the flux function."""
 
     def __init__(self, expr: ModelExpr):
-        self.expr = expr
-        self.value, self._taylor = expr.eval, expr.taylor
-        self._program = partial(expr.program, array=False)
+        self.expr = self._model = expr
+        self.value = expr.eval
 
 
 FluxLike = Union[ModelPair, ModelExpr]
@@ -235,6 +232,7 @@ def envelope(flux, s_left: float, s_right: float):
     states in ascending order [a, b], and a descending fan takes its pieces
     in reverse.  A flux sample that is not finite raises DomainError.
     """
+    s_left, s_right = float(s_left), float(s_right)
     if s_left == s_right:
         return []
     curve = _as_curve(flux)
@@ -309,10 +307,11 @@ def solve(problem: RiemannProblem) -> WaveFan:
     """Wave fan of the Riemann problem by the envelope construction: each
     contact arc becomes a rarefaction, its end speeds f' at its end states."""
     curve = _as_curve(problem.flux)
+    s_L, s_R = float(problem.s_L), float(problem.s_R)
     waves: list[Wave] = [
         Rarefaction(p.left_state, p.right_state, curve.deriv(p.left_state), curve.deriv(p.right_state), p.samples)
-        if isinstance(p, ContactArc) else p for p in envelope(curve, problem.s_L, problem.s_R)]
-    return WaveFan(problem.s_L, problem.s_R, waves, curve)
+        if isinstance(p, ContactArc) else p for p in envelope(curve, s_L, s_R)]
+    return WaveFan(s_L, s_R, waves, curve)
 
 
 def _invert(w: Rarefaction, curve, xi: float) -> float:
@@ -348,6 +347,7 @@ def evaluate(fan: WaveFan, xi: float) -> float:
     state inverts f'(s) = xi on the (monotone) contact arc, to within
     INVERT_TOL of a sign change of f' - xi.  A NaN xi raises ValueError.
     """
+    xi = float(xi)
     if math.isnan(xi):
         raise ValueError("xi must not be NaN")
     state = fan.s_left

@@ -19,10 +19,11 @@ programs at orders 0-3, scalar and array, and every pool pair's flux
 programs, the sha256 of the generated source and of the outputs, on 4097
 points of (0, 1) as an array and at 13 scalar points across [-0.25, 1.25],
 an error taken as its type, message and index.  To compare a change with
-its parent, dump the parent from a copy of its tree on its own PYTHONPATH:
+its parent, dump the parent from a copy of its tree, with its own script on
+its own PYTHONPATH (each script calls its own tree's API):
 
     git archive HEAD~1 | tar -x -C ../parent
-    PYTHONPATH=../parent/src python tests/answers.py dump --out parent.json
+    PYTHONPATH=../parent/src python ../parent/tests/answers.py dump --out parent.json
     PYTHONPATH=src python tests/answers.py dump --out change.json
     python tests/answers.py diff parent.json change.json
 
@@ -125,7 +126,7 @@ def program_answers(objects: dict) -> dict:
     and every pair's flux programs at orders 0-3, scalar and array, each built
     afresh; objects maps each tree or pair to its name."""
     import numpy as np
-    from fracflow import flux, jet, models
+    from fracflow import jet
 
     sources, maker = [], jet._maker
     inputs = {True: [np.linspace(0.0, 1.0, 4099)[1:-1]], False: np.linspace(-0.25, 1.25, 13).tolist()}
@@ -133,11 +134,10 @@ def program_answers(objects: dict) -> dict:
     jet._maker = lambda src: sources.append(src) or maker(src)  # Tape.build compiles through jet._maker
     try:
         for obj, name in objects.items():
-            build = flux.pair_program if isinstance(obj, models.ModelPair) else models.ModelExpr.program
             for order in range(4):
                 for array in (False, True):
                     obj._programs.pop((order, array), None)
-                    program = build(obj, order, array)
+                    program = obj.program(order, array)
                     out[f"{name} order {order} {'array' if array else 'scalar'}"] = {
                         "source sha256": hashlib.sha256(sources[-1].encode()).hexdigest(),
                         "outputs sha256": outputs_sha256(program, inputs[array])}

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from fracflow import flux, jet, models
+from fracflow import jet, models
 from fracflow.jet import _CHAIN, _LEIBNIZ, _OPS, _QUOTIENT, _UNIT, Names
 
 
@@ -230,11 +230,11 @@ def reference_program(m: models.ModelExpr, order: int, array: bool) -> Callable:
 
 
 def reference_pair_program(pair: models.ModelPair, order: int, array: bool) -> Callable:
-    """pair's flux program as flux.pair_program built it with the reference emission."""
+    """pair's flux program as ModelPair.program built it with the reference emission."""
     tape = ReferenceTape(array)
     a = tape.opaque(models._emit(tape, pair.m_a, "s", order), "s")
     b = tape.opaque(models._emit(tape, pair.m_b, tape.let("1.0 - s"), order), "s")
-    return tape.build(["s"], flux._flux_rule(tape, a, b) + a + b)
+    return tape.build(["s"], tape.div(a, tape.add(a, tape.reflect(b)), "zero total mobility") + a + b)
 
 
 def outcome(fn: Callable, s) -> tuple:
@@ -275,14 +275,13 @@ def _main() -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     trees, pairs = _pool_objects()
     mismatches, compared = [], 0
-    for what, objects, new, ref in (("tree", trees, lambda m, k, a: m.program(k, a), reference_program),
-                                    ("pair", pairs, flux.pair_program, reference_pair_program)):
+    for what, objects, ref in (("tree", trees, reference_program), ("pair", pairs, reference_pair_program)):
         build = {False: 0.0, True: 0.0}  # seconds jet.Tape took per kind
         for obj in objects:
             for order in range(4):
                 for array in (False, True):
                     start = time.perf_counter()
-                    got_fn = new(obj, order, array)
+                    got_fn = obj.program(order, array)
                     build[array] += time.perf_counter() - start
                     want_fn = ref(obj, order, array)
                     for s in INPUTS:

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fracflow as ff
 from fracflow import jet, models, riemann
-from fracflow.flux import f_taylor, pair_program
+from fracflow.flux import f_taylor
 
 from conftest import draw_member, rel_close
 from program_reference import outcome as reference_outcome, reference_program
@@ -853,9 +853,32 @@ def test_pair_programs_are_compiled_once_and_pickle_away():
     assert "_programs" not in pair.__dict__  # nothing is compiled before the first call
     assert riemann.PairFlux(pair)._df is curve._df
     assert sorted(pair._programs) == [(1, False)]
-    assert riemann.PairFlux(pair)._d2f is curve._d2f is pair_program(pair, 2)
+    assert riemann.PairFlux(pair)._d2f is curve._d2f is pair.program(2, False)
     assert sorted(pair._programs) == [(1, False), (2, False)]
     copy = pickle.loads(pickle.dumps(pair))
     assert copy == pair and "_programs" not in copy.__dict__
     assert riemann.PairFlux(copy).deriv(0.3) == curve.deriv(0.3)
     assert riemann.PairFlux(copy).deriv(0.3, 2) == curve.deriv(0.3, 2) == tuple(f_taylor(pair, 0.3, 2)[1:])
+
+
+def test_trees_and_pairs_share_taylor_and_the_program_cache():
+    # a pair's taylor is f's jet, then its trees' own jets, bit for bit; a
+    # numpy scalar runs as a float; each kind caches under (order, array)
+    catalog = ff.catalog()
+    pair = ff.ModelPair(catalog["counterexample_1"], catalog["corey_b"])
+    m = pair.m_a
+    for k in range(4):
+        for s in (0.3, np.float64(0.3), POINTS):
+            out = pair.taylor(s, k)
+            assert _bits(out[:k + 1]) == _bits(f_taylor(pair, s, k))
+            assert _bits(out[k + 1:2 * k + 2]) == _bits(m.taylor(s, k))
+            if not isinstance(s, np.ndarray):
+                assert all(type(c) is float for c in out + m.taylor(s, k))
+    for obj in (pair, m):
+        assert sorted(obj._programs) == [(k, array) for k in range(4) for array in (False, True)]
+        assert all(fn is obj.program(*key) for key, fn in obj._programs.items())
+    with pytest.raises(ValueError) as tree_error:
+        m.taylor(0.3, 4)
+    with pytest.raises(ValueError) as pair_error:
+        pair.taylor(0.3, 4)
+    assert str(tree_error.value) == str(pair_error.value) == "order must be 0, 1, 2 or 3, got 4"

@@ -53,6 +53,13 @@ def test_f2_sign_orientation_for_quadratic_pair():
     assert float(f2_closed(pair, 0.75)) < 0.0
 
 
+def test_scalar_f2_closed_raises_a_float_overflow_at_its_point():
+    pair = ff.ModelPair(ff.parse("1e200*s^2"), ff.parse("1e200*s^2"))
+    with pytest.raises(ff.DomainError, match=r"^float overflow at s=0\.8$"):
+        f2_closed(pair, 0.8)
+    assert not np.isfinite(f2_closed(pair, np.array([0.8]))).any()  # the array form gives inf or nan
+
+
 def test_f2_closed_agrees_with_jets():
     # the 1e-3 floor makes draws that land next to an inflection (where
     # both routes cancel to ~1e-14) an absolute comparison at 1e-13
@@ -380,7 +387,7 @@ def test_tangency_suspects_skip_near_zero_samples_next_to_a_root():
 def test_constant_pair_gives_components_shaped_like_s(order):
     pair = ff.ModelPair(ff.parse("1"), ff.parse("1"))
     for s in (0.3, np.array([0.3, 0.7]), np.array([[0.2], [0.4]])):
-        out = flux.pair_program(pair, order, isinstance(s, np.ndarray))(s)
+        out = pair.program(order, isinstance(s, np.ndarray))(s)
         assert len(out) == 3 * (order + 1)  # f, then m_a's jet, then m_b's
         for c, want in zip(out, (0.5, 0.0, 0.0, 0.0)[:order + 1] + ((1.0, 0.0, 0.0, 0.0)[:order + 1]) * 2):
             if isinstance(s, np.ndarray):
@@ -465,7 +472,8 @@ def _library_calls(pair: ff.ModelPair) -> list:
 def test_overflowing_mobilities_raise_only_domain_or_value_errors(m_a, m_b):
     # an overflow ends a call in a DomainError on the non-finite value (or a
     # ValueError), with no numpy RuntimeWarning on the way, also outside the CLI
-    for call in _library_calls(ff.ModelPair(ff.parse(m_a), ff.parse(m_b))):
+    pair = ff.ModelPair(ff.parse(m_a), ff.parse(m_b))
+    for call in _library_calls(pair) + [partial(f2_closed, pair, s) for s in (0.2, 0.5, 0.8)]:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:

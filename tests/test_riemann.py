@@ -128,6 +128,14 @@ def test_quadratic_corey_drainage_fan():
     assert shock.right_state == 0.0
     expected_speed = (0.5 / (2.0 - math.sqrt(2.0))) / SQRT_HALF
     assert abs(shock.speed - expected_speed) <= 1e-5
+    # numpy-scalar states give the same fan, of Python floats, and so does the envelope
+    same = rm.solve(rm.RiemannProblem(np.float64(1.0), np.float64(0.0), quadratic_pair()))
+    assert rm.fan_to_text(same) == rm.fan_to_text(fan)
+    numbers = [same.s_left, same.s_right] + [getattr(w, f.name) for w in same.waves
+                                             for f in dataclasses.fields(w) if f.name != "samples"]
+    numbers += [s for p in rm.envelope(quadratic_pair(), np.float64(1.0), np.float64(0.0))
+                for s in (p.left_state, p.right_state)]
+    assert all(type(x) is float for x in numbers)
 
 
 def test_convex_raw_flux_single_shock():
@@ -163,6 +171,8 @@ def test_evaluate_inverts_rarefaction():
     for xi in np.linspace(rare.speed_lo + 1e-6, rare.speed_hi - 1e-6, 25):
         s = rm.evaluate(fan, float(xi))
         assert abs(curve.deriv(s) - xi) <= 1e-8
+        same = rm.evaluate(fan, xi)  # a numpy-scalar xi
+        assert same == s and type(same) is float
 
 
 def test_evaluate_is_monotone_between_states():
@@ -251,8 +261,14 @@ def test_non_finite_flux_and_nan_xi_are_rejected():
     xs = np.linspace(0.0, 1.0, rm.DEFAULT_SAMPLES + 1)
     assert info.value.index == int(np.flatnonzero(~np.isfinite(ff.f_value(pair, xs)))[0])
     fan = rm.solve(rm.RiemannProblem(1.0, 0.0, ff.ModelPair(ff.corey_a(), ff.corey_b())))
-    with pytest.raises(ValueError, match="NaN"):
-        rm.evaluate(fan, math.nan)
+    for xi in (math.nan, np.float64(math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            rm.evaluate(fan, xi)
+    # a numpy-scalar state runs the scalar programs on floats: the same error, and no RuntimeWarning
+    overflow = ff.ModelPair(ff.parse("s^2"), ff.parse("(1000*s)^201"))
+    for s_L in (0.2, np.float64(0.2)):
+        with pytest.raises(ff.DomainError, match=r"^float overflow while evaluating \(1000\*s\)\^201 at s=0\.8$"):
+            rm.solve(rm.RiemannProblem(s_L, 0.0, overflow))
 
 
 def test_chords_sharing_a_hull_vertex_meet_between_their_refined_ends():
